@@ -27,7 +27,8 @@ impl BoundedBuffer {
         assert!(capacity > 0, "buffer capacity must be positive");
         BoundedBuffer {
             capacity,
-            pending: Vec::new(),
+            // Never holds more than `capacity`: sized once, never regrown.
+            pending: Vec::with_capacity(capacity),
             overflows: 0,
             peak: 0,
         }

@@ -1,32 +1,46 @@
-//! Predictor cohabitation: one PVProxy and one PVCache shared by several
-//! virtualized tables on the same core.
+//! The PVProxy: the on-chip agent between the optimization engines and
+//! their in-memory PVTables (paper Sections 2.2 and 3.2.2), one per core.
 //!
-//! The per-predictor [`crate::PvProxy`] dedicates a full PVCache to a single
-//! table. The paper's economics point the other way: *many* predictors
-//! should amortize one physical resource. This module provides that sharing:
+//! A [`SharedPvProxy`] owns a PVCache plus one MSHR, pattern buffer and
+//! evict buffer, and funnels every registered table's fills and write-backs
+//! through a single `Requester::pv_proxy(core)` stream. It serves both of
+//! the simulator's arrangements:
 //!
-//! * a [`SharedPvCache`] whose entries are tagged with a **table id** in
-//!   addition to the set index, so sets from different predictors (SMS,
-//!   Markov, any future [`crate::PvEntry`] backend) arbitrate for the same
-//!   cache lines under one LRU order;
-//! * a [`SharedPvProxy`] that owns the shared cache plus one MSHR, pattern
-//!   buffer and evict buffer, and funnels *all* cohabiting tables' fills and
-//!   write-backs through a single `Requester::pv_proxy(core)` stream — so
-//!   the tables also compete for the same L2 ports, MSHR slots and DRAM
-//!   bandwidth, with per-table statistics kept separately.
+//! * a **one-table** proxy, owned by the predictor adapter whose table it
+//!   serves (SMS-PV8/16, Markov-PV8, and each half of the dedicated
+//!   composite) — the paper's per-predictor PVProxy;
+//! * a **shared** proxy, owned by the cohabitation composite and lent to
+//!   several tables, so that sets from different predictors (SMS, Markov,
+//!   any future [`crate::PvEntry`] backend) arbitrate for the same
+//!   [`SharedPvCache`] lines under one LRU order — entries are tagged with a
+//!   **table id** in addition to the set index — and for the same L2 ports,
+//!   MSHR slots and DRAM bandwidth, with per-table statistics kept
+//!   separately. This is the paper's economic argument: many predictors
+//!   amortize one physical resource.
 //!
 //! # Contents are write-through
 //!
-//! The shared cache tracks *residency and timing only* (which (table, set)
-//! is cached, dirty bit, fill completion time). The authoritative entry
-//! values live in each predictor's own [`crate::PvTable`], which the typed
-//! adapters (in `pv-sms` / `pv-markov`) update write-through. Because each
-//! table has exactly one owner, this is observationally equivalent to the
-//! per-predictor proxy's copy-on-fetch scheme — with one deliberate
-//! exception: in-set recency promotions made by lookups survive a *clean*
-//! eviction (the dedicated proxy discards the cached copy, promotions
-//! included). Keeping the table current makes the cache metadata-only, which
-//! is what lets two entry types share one cache without type erasure.
+//! The cache tracks *residency and timing only* (which (table, set) is
+//! cached, dirty bit, fill completion time). The authoritative entry values
+//! live in each predictor's own [`crate::PvTable`], which its
+//! [`crate::ProxiedTable`] updates write-through. Keeping the table current
+//! makes the cache metadata-only, which is what lets two entry types share
+//! one cache without type erasure.
+//!
+//! Each access reports whether it filled its set and which entry the fill
+//! evicted ([`SharedSetAccess`]), and the rule for a *clean* eviction
+//! follows from who owns the proxy:
+//!
+//! * an **owned** one-table proxy behaves like the paper's PVProxy, which
+//!   discards a clean victim (Section 2.2): its table restores the set's
+//!   fill-time copy, dropping the in-set recency promotions that lookups
+//!   made while the set was cached;
+//! * a **lent** shared proxy keeps those promotions: a clean victim is
+//!   simply dropped from the cache, and the owning table keeps the set as
+//!   the lookups left it.
+//!
+//! Dirty victims are written back towards the L2 in both arrangements; the
+//! table already holds their contents.
 
 //! # Partial backing and re-planning
 //!
@@ -37,7 +51,7 @@
 //! narrow index range still spread across the backed/unbacked split.
 //! Lookups to unbacked sets miss without traffic; stores to unbacked sets
 //! are dropped and the owner must skip its write-through update
-//! ([`SharedStoreOutcome`]). [`SharedPvProxy::apply_plan`] moves the
+//! ([`SharedSetAccess::resident`]). [`SharedPvProxy::apply_plan`] moves the
 //! boundaries at an epoch edge: because contents are write-through, the
 //! move only invalidates cache entries whose backing block address changed
 //! (writing dirty ones back at their *old* address) — data is never copied.
@@ -63,10 +77,9 @@ pub struct SharedPvCacheEntry {
     pub ready_at: u64,
 }
 
-/// The fully-associative, LRU, *table-tagged* PVCache shared by every
-/// cohabiting predictor on one core. Identical replacement behaviour to
-/// [`crate::PvCache`], with the key widened from `set_index` to
-/// `(table, set_index)`.
+/// The fully-associative, LRU, *table-tagged* PVCache of one core's
+/// proxy. The paper's final design holds eight PVTable sets, each one memory
+/// block of predictor entries, with a dirty bit per entry.
 #[derive(Debug, Clone)]
 pub struct SharedPvCache {
     capacity: usize,
@@ -124,7 +137,7 @@ impl SharedPvCache {
     /// Installs `(table, set_index)` with a fill completing at `ready_at`,
     /// evicting the LRU entry — *of whichever table holds it* — when the
     /// cache is full. Re-inserting a resident set ORs the dirty flag and
-    /// keeps the earlier ready time, as in [`crate::PvCache::insert`].
+    /// keeps the earlier ready time.
     pub fn insert(
         &mut self,
         table: usize,
@@ -151,11 +164,6 @@ impl SharedPvCache {
         self.entries.rotate_right(1);
         None
     }
-
-    /// Removes every entry, returning the dirty ones (end-of-run drain).
-    pub fn drain_dirty(&mut self) -> Vec<SharedPvCacheEntry> {
-        self.entries.drain(..).filter(|e| e.dirty).collect()
-    }
 }
 
 /// One table bound to a [`SharedPvProxy`]: where its sub-region lives and
@@ -176,20 +184,6 @@ struct TableBinding {
     label: String,
 }
 
-/// Outcome of one shared-proxy store.
-#[must_use]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SharedStoreOutcome {
-    /// The store was applied; the caller updates its own table
-    /// write-through.
-    Accepted,
-    /// The target set is not backed by the current plan: the store was
-    /// dropped, and the caller must *not* update its table — an entry that
-    /// survived in the owner's table without backing capacity would resurface
-    /// for free once the set becomes backed again.
-    Unbacked,
-}
-
 /// What applying a new region plan did to the shared cache
 /// ([`SharedPvProxy::apply_plan`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -201,27 +195,50 @@ pub struct ReplanOutcome {
     pub writebacks: u64,
 }
 
-/// Timing outcome of one shared-cache set access.
+/// Outcome of one set access ([`SharedPvProxy::lookup_set`] or
+/// [`SharedPvProxy::store_set`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedSetAccess {
-    /// Whether the set is (or will be) resident. `false` when the lookup
-    /// was dropped because the pattern buffer was full, or when the set is
-    /// not backed by the current region plan — the caller must then report
-    /// a predictor miss without touching its table.
+    /// Whether the set is (or will be) resident. `false` when a lookup was
+    /// dropped because the pattern buffer was full, or when the set is not
+    /// backed by the current region plan — the caller must then report a
+    /// predictor miss, or drop the store, without touching its table: an
+    /// entry that survived in the owner's table without backing capacity
+    /// would resurface for free once the set becomes backed again.
     pub resident: bool,
     /// Cycle at which the set's data is available.
     pub ready_at: u64,
+    /// Whether this access missed and installed the set (fetched from the
+    /// memory hierarchy or merged into an in-flight fetch).
+    pub filled: bool,
+    /// The entry the fill pushed out of the cache, if it was full.
+    pub evicted: Option<SharedPvCacheEntry>,
 }
 
-/// The shared PVProxy: one per core, arbitrating every cohabiting
-/// virtualized table through one PVCache and one memory-request stream.
+impl SharedSetAccess {
+    /// An access that installed nothing.
+    fn unfilled(resident: bool, ready_at: u64) -> Self {
+        SharedSetAccess {
+            resident,
+            ready_at,
+            filled: false,
+            evicted: None,
+        }
+    }
+}
+
+/// The PVProxy of one core, arbitrating every table registered with it
+/// through one PVCache and one memory-request stream.
 ///
-/// Typed adapters register their tables with [`Self::add_table`] and then
-/// drive [`Self::lookup_set`] / [`Self::store_set`]; the proxy handles
-/// residency, replacement across tables, fill merging, dirty write-backs
-/// and per-table statistics. It is deliberately untyped: because contents
-/// are write-through in the owners' tables (module docs), the proxy only
-/// ever needs a set's *address*, which it computes from the binding's base.
+/// Typed tables ([`crate::ProxiedTable`]) register with [`Self::add_table`]
+/// and then drive [`Self::lookup_set`] / [`Self::store_set`]; the proxy
+/// handles residency, replacement across tables, fill merging, dirty
+/// write-backs and per-table statistics. Requests that hit in the PVCache
+/// complete after its latency; misses compute the set's memory address from
+/// the table's `PVStart` base (Figure 3b) and issue an ordinary read to the
+/// L2. It is deliberately untyped: because contents are write-through in the
+/// owners' tables (module docs), the proxy only ever needs a set's
+/// *address*, which it computes from the binding's base.
 #[derive(Debug)]
 pub struct SharedPvProxy {
     core: usize,
@@ -238,9 +255,8 @@ pub struct SharedPvProxy {
 }
 
 impl SharedPvProxy {
-    /// Creates the shared proxy for `core`. `config.pvcache_sets` is the
-    /// *total* shared capacity; `table_sets`/`block_bytes` of `config` apply
-    /// to tables added without an explicit geometry.
+    /// Creates the proxy for `core`. `config.pvcache_sets` is the PVCache
+    /// capacity, shared by every table registered later.
     pub fn new(core: usize, config: PvConfig) -> Self {
         config.assert_valid();
         SharedPvProxy {
@@ -300,7 +316,7 @@ impl SharedPvProxy {
         &self.tables[table].label
     }
 
-    /// The shared table-tagged PVCache.
+    /// The table-tagged PVCache.
     pub fn cache(&self) -> &SharedPvCache {
         &self.cache
     }
@@ -485,17 +501,18 @@ impl SharedPvProxy {
     }
 
     /// Fetches `(table, set_index)` through the memory hierarchy and installs
-    /// it in the shared cache, evicting (and writing back if dirty) whatever
-    /// set — of any table — is LRU. Mirrors `PvProxy::fetch_set`: the entry
-    /// is installed at request time so later requests merge, and it
-    /// remembers the fill's completion time for early hits.
+    /// it in the cache, evicting (and writing back if dirty) whatever set —
+    /// of any table — is LRU. The entry is installed at request time so
+    /// later requests merge instead of duplicating memory traffic, and it
+    /// remembers the fill's completion time: hits arriving before it report
+    /// the fill's `ready_at`, not their own cycle.
     fn fetch_set(
         &mut self,
         table: usize,
         set_index: usize,
         mem: &mut MemoryHierarchy,
         now: u64,
-    ) -> u64 {
+    ) -> SharedSetAccess {
         let address = self.set_address(table, set_index);
         self.mshr.retire(now);
         let ready_at = if let Some(entry) = self.mshr.lookup(address.block()) {
@@ -517,10 +534,16 @@ impl SharedPvProxy {
             let _ = self.mshr.register(address.block(), now, ready);
             ready
         };
-        if let Some(evicted) = self.cache.insert(table, set_index, false, ready_at) {
-            self.handle_eviction(evicted, mem, now);
+        let evicted = self.cache.insert(table, set_index, false, ready_at);
+        if let Some(victim) = evicted {
+            self.handle_eviction(victim, mem, now);
         }
-        ready_at
+        SharedSetAccess {
+            resident: true,
+            ready_at,
+            filled: true,
+            evicted,
+        }
     }
 
     fn handle_eviction(
@@ -530,8 +553,9 @@ impl SharedPvProxy {
         now: u64,
     ) {
         if !evicted.dirty {
-            // Non-modified entries are discarded (paper Section 2.2); the
-            // owning table already holds the authoritative contents.
+            // Non-modified entries are discarded (paper Section 2.2); what
+            // that means for the owning table's copy is the table's rule
+            // (module docs).
             return;
         }
         self.stats[evicted.table].dirty_writebacks += 1;
@@ -561,10 +585,7 @@ impl SharedPvProxy {
             // memory traffic.
             self.stats[table].pvcache_misses += 1;
             self.stats[table].unbacked_lookups += 1;
-            return SharedSetAccess {
-                resident: false,
-                ready_at: now,
-            };
+            return SharedSetAccess::unfilled(false, now);
         }
         let pvcache_latency = self.config.pvcache_latency;
         if let Some(entry) = self.cache.lookup(table, set_index) {
@@ -574,10 +595,7 @@ impl SharedPvProxy {
             if pending {
                 self.stats[table].pending_hits += 1;
             }
-            return SharedSetAccess {
-                resident: true,
-                ready_at,
-            };
+            return SharedSetAccess::unfilled(true, ready_at);
         }
         self.stats[table].pvcache_misses += 1;
         // The pattern buffer is a shared structural resource too: a full
@@ -588,53 +606,40 @@ impl SharedPvProxy {
         let key = ((table as u64) << 48) | index;
         if !self.pattern_buffer.try_reserve(key, now, provisional_done) {
             self.stats[table].dropped_lookups += 1;
-            return SharedSetAccess {
-                resident: false,
-                ready_at: now,
-            };
+            return SharedSetAccess::unfilled(false, now);
         }
-        let ready_at = self.fetch_set(table, set_index, mem, now);
-        SharedSetAccess {
-            resident: true,
-            ready_at,
-        }
+        self.fetch_set(table, set_index, mem, now)
     }
 
     /// A predictor store touching `(table, set_index)`: write-allocate (the
     /// set is fetched on a miss, so its other entries are preserved) and
-    /// mark the resident set dirty. On [`SharedStoreOutcome::Accepted`] the
-    /// caller updates its own table write-through *after* this returns; on
-    /// [`SharedStoreOutcome::Unbacked`] it must skip that update.
+    /// mark the resident set dirty. When the access is resident the caller
+    /// updates its own table write-through *after* this returns; otherwise
+    /// (an unbacked set) it must skip that update.
     pub fn store_set(
         &mut self,
         table: usize,
         set_index: usize,
         mem: &mut MemoryHierarchy,
         now: u64,
-    ) -> SharedStoreOutcome {
+    ) -> SharedSetAccess {
         self.stats[table].stores += 1;
         if !self.set_backed(table, set_index) {
             self.stats[table].unbacked_stores += 1;
-            return SharedStoreOutcome::Unbacked;
+            return SharedSetAccess::unfilled(false, now);
         }
-        if !self.cache.contains(table, set_index) {
+        let access = if self.cache.contains(table, set_index) {
+            SharedSetAccess::unfilled(true, now)
+        } else {
             self.stats[table].store_misses += 1;
-            let _ = self.fetch_set(table, set_index, mem, now);
-        }
+            self.fetch_set(table, set_index, mem, now)
+        };
         let cached = self
             .cache
             .lookup(table, set_index)
-            .expect("the set was just installed in the shared PVCache");
+            .expect("the set was just installed in the PVCache");
         cached.dirty = true;
-        SharedStoreOutcome::Accepted
-    }
-
-    /// Writes every dirty resident set back to the memory hierarchy (used at
-    /// the end of a simulation window so no learned state is stranded).
-    pub fn drain(&mut self, mem: &mut MemoryHierarchy, now: u64) {
-        for evicted in self.cache.drain_dirty() {
-            self.handle_eviction(evicted, mem, now);
-        }
+        access
     }
 }
 
@@ -653,6 +658,59 @@ mod tests {
         let b = proxy.add_table(Address::new(base.raw() + 64 * 1024), 1024, 64, "B");
         assert_eq!((a, b), (0, 1));
         (mem, proxy)
+    }
+
+    #[test]
+    fn insert_then_lookup_round_trips() {
+        let mut cache = SharedPvCache::new(8);
+        assert!(cache.insert(0, 5, false, 0).is_none());
+        assert!(cache.contains(0, 5));
+        assert!(!cache.contains(1, 5), "entries are keyed by table too");
+        let entry = cache.lookup(0, 5).expect("set 5 was just inserted");
+        assert_eq!((entry.table, entry.set_index, entry.dirty), (0, 5, false));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn lru_eviction_picks_least_recently_used() {
+        let mut cache = SharedPvCache::new(2);
+        cache.insert(0, 1, false, 0);
+        cache.insert(1, 2, true, 0);
+        cache.lookup(0, 1);
+        let evicted = cache.insert(0, 3, false, 0).expect("cache was full");
+        assert_eq!(
+            (evicted.table, evicted.set_index, evicted.dirty),
+            (1, 2, true)
+        );
+        assert!(cache.contains(0, 1));
+        assert!(cache.contains(0, 3));
+    }
+
+    #[test]
+    fn reinsert_merges_dirty_flag() {
+        let mut cache = SharedPvCache::new(4);
+        cache.insert(0, 9, false, 0);
+        cache.insert(0, 9, true, 0);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup(0, 9).unwrap().dirty);
+        // Re-inserting clean must not clear the dirty bit.
+        cache.insert(0, 9, false, 0);
+        assert!(cache.lookup(0, 9).unwrap().dirty);
+    }
+
+    #[test]
+    fn reinsert_keeps_earliest_ready_time() {
+        let mut cache = SharedPvCache::new(4);
+        cache.insert(0, 9, false, 400);
+        // A merged re-install must not push the ready time later.
+        cache.insert(0, 9, false, 900);
+        assert_eq!(cache.lookup(0, 9).unwrap().ready_at, 400);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one entry")]
+    fn zero_capacity_panics() {
+        SharedPvCache::new(0);
     }
 
     #[test]
@@ -720,10 +778,7 @@ mod tests {
         let (mut mem, mut proxy) = setup();
         // Dirty one set of table 1, then flood with table 0 until it is
         // evicted: the write-back must be attributed to table 1.
-        assert_eq!(
-            proxy.store_set(1, 7, &mut mem, 0),
-            SharedStoreOutcome::Accepted
-        );
+        assert!(proxy.store_set(1, 7, &mut mem, 0).resident);
         let capacity = proxy.cache().capacity();
         for set in 0..capacity {
             proxy.lookup_set(0, set, set as u64, &mut mem, 1_000 + (set as u64) * 1_000);
@@ -751,16 +806,23 @@ mod tests {
     }
 
     #[test]
-    fn drain_writes_back_only_dirty_sets() {
+    fn fills_report_the_entry_they_evicted() {
         let (mut mem, mut proxy) = setup();
-        proxy.lookup_set(0, 1, 1, &mut mem, 0);
-        let _ = proxy.store_set(1, 2, &mut mem, 10);
-        let writes_before = mem.stats().l2_requests.predictor;
-        proxy.drain(&mut mem, 1_000);
-        assert_eq!(proxy.table_stats(1).dirty_writebacks, 1);
-        assert_eq!(proxy.table_stats(0).dirty_writebacks, 0);
-        assert!(mem.stats().l2_requests.predictor > writes_before);
-        assert!(proxy.cache().is_empty());
+        let capacity = proxy.cache().capacity();
+        for set in 0..capacity {
+            let access = proxy.lookup_set(0, set, set as u64, &mut mem, set as u64 * 1_000);
+            assert!(access.filled);
+            assert_eq!(access.evicted, None);
+        }
+        // A hit fills nothing and promotes set 0, leaving set 1 LRU.
+        assert!(!proxy.lookup_set(0, 0, 0, &mut mem, 100_000).filled);
+        let store = proxy.store_set(1, 5, &mut mem, 200_000);
+        assert!(store.filled);
+        let victim = store.evicted.expect("a fill into a full cache evicts");
+        assert_eq!(
+            (victim.table, victim.set_index, victim.dirty),
+            (0, 1, false)
+        );
     }
 
     #[test]
@@ -821,10 +883,7 @@ mod tests {
         assert!(!proxy.set_backed(0, 1));
         let access = proxy.lookup_set(0, 1, 1, &mut mem, 0);
         assert!(!access.resident);
-        assert_eq!(
-            proxy.store_set(0, 1, &mut mem, 0),
-            SharedStoreOutcome::Unbacked
-        );
+        assert!(!proxy.store_set(0, 1, &mut mem, 0).resident);
         let stats = proxy.table_stats(0);
         assert_eq!(stats.lookups, 1);
         assert_eq!(stats.pvcache_misses, 1, "unbacked lookups count as misses");
@@ -843,10 +902,7 @@ mod tests {
         for set in [0, 2, 4] {
             assert!(proxy.lookup_set(0, set, set as u64, &mut mem, 0).resident);
         }
-        assert_eq!(
-            proxy.store_set(1, 0, &mut mem, 0),
-            SharedStoreOutcome::Accepted
-        );
+        assert!(proxy.store_set(1, 0, &mut mem, 0).resident);
         let old_table1_addr = proxy.set_address(1, 0);
         // Shrink table 0 to 256 blocks, grow table 1 to 768.
         let moved = plan.replan(&[256 * 64, 768 * 64]);

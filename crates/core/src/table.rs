@@ -18,10 +18,28 @@ use pv_mem::Address;
 
 /// One set of the PVTable: up to `ways` entries, kept in recency order
 /// (most recently used first) so that within-set replacement is LRU.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct PvSet<E> {
     entries: Vec<E>,
     ways: usize,
+}
+
+impl<E: Clone> Clone for PvSet<E> {
+    fn clone(&self) -> Self {
+        let mut entries = Vec::with_capacity(self.ways);
+        entries.extend_from_slice(&self.entries);
+        PvSet {
+            entries,
+            ways: self.ways,
+        }
+    }
+
+    /// Reuses `self`'s storage: copying between sets of equal associativity
+    /// never allocates.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+        self.ways = source.ways;
+    }
 }
 
 impl<E: PvEntry> PvSet<E> {
@@ -167,8 +185,8 @@ impl<E: PvEntry> PvTable<E> {
     }
 
     /// Mutable access to set `set_index` — used by the write-through
-    /// cohabitation adapters, which keep the authoritative contents in the
-    /// table and leave only residency metadata to the shared PVCache.
+    /// [`crate::ProxiedTable`], which keeps the authoritative contents in
+    /// the table and leaves only residency metadata to the PVCache.
     ///
     /// # Panics
     ///
@@ -177,8 +195,7 @@ impl<E: PvEntry> PvTable<E> {
         &mut self.sets[set_index]
     }
 
-    /// Overwrites set `set_index` (a dirty PVCache victim being written
-    /// back).
+    /// Overwrites set `set_index`.
     ///
     /// # Panics
     ///

@@ -1,149 +1,43 @@
 //! The Markov next-address table on a *shared* PVProxy.
 //!
-//! Mirror of `pv_sms::cohabit`: [`SharedVirtualizedMarkov`] registers the
-//! Markov table as one table of a per-core
-//! [`SharedPvProxy`], so it competes with its
-//! cohabitants (e.g. SMS) for the same table-tagged PVCache lines and the
-//! same L2/DRAM bandwidth. Contents are write-through in the adapter's own
-//! `PvTable<MarkovEntry>`; the engine still sees only [`NextAddrStorage`].
+//! Mirror of `pv_sms::cohabit`: [`VirtualizedMarkov::shared`] registers the
+//! Markov table as one table of a per-core [`SharedPvProxy`], so it
+//! competes with its cohabitants (e.g. SMS) for the same table-tagged
+//! PVCache lines and the same L2/DRAM bandwidth. Contents are write-through
+//! in the adapter's own `PvTable<MarkovEntry>`; the engine still sees only
+//! [`crate::NextAddrStorage`].
 //!
-//! The adapter does not own the proxy: it arrives by `&mut` through the
-//! `shared` parameter of every call, which keeps the adapter (and the whole
-//! simulator above it) `Send` with no `RefCell` bookkeeping on the hot path.
+//! The adapter does not own a shared proxy: it arrives by `&mut` through
+//! the `shared` parameter of every call, which keeps the adapter (and the
+//! whole simulator above it) `Send` with no `RefCell` bookkeeping on the hot
+//! path.
 
-use crate::entry::{MarkovEntry, MarkovIndex};
-use crate::storage::{NextAddrLookup, NextAddrStorage};
-use pv_core::{
-    PvConfig, PvEntry, PvStartRegister, PvStorageBudget, PvTable, SharedPvProxy, SharedStoreOutcome,
-};
-use pv_mem::{Address, MemoryHierarchy};
+use crate::storage::{check_geometry, VirtualizedMarkov};
+use pv_core::{ProxiedTable, PvConfig, SharedPvProxy};
+use pv_mem::Address;
 
-/// The Markov next-address table bound to a shared, table-tagged PVProxy.
-#[derive(Debug)]
-pub struct SharedVirtualizedMarkov {
-    table_id: usize,
-    /// PVCache sets of the proxy this adapter registered with (fixed for
-    /// the proxy's lifetime), so labels and budgets need no proxy access.
-    shared_capacity: usize,
-    config: PvConfig,
-    table: PvTable<MarkovEntry>,
-}
-
-impl SharedVirtualizedMarkov {
+impl VirtualizedMarkov {
     /// Registers a Markov PVTable based at `pv_start` (normally a
-    /// `PvRegionPlan` sub-region base) with the core's shared proxy.
+    /// `PvRegionPlan` sub-region base) with the core's shared `proxy`.
     ///
     /// # Panics
     ///
     /// Panics if the configured number of table sets leaves more index tag
-    /// bits than the packed entry stores (mirrors `VirtualizedMarkov::new`).
-    pub fn new(shared: &mut SharedPvProxy, config: PvConfig, pv_start: Address) -> Self {
-        let index_tag_bits = crate::entry::INDEX_BITS - config.table_sets.trailing_zeros();
-        assert!(
-            index_tag_bits <= MarkovEntry::TAG_BITS,
-            "a {}-set PVTable needs {} tag bits but MarkovEntry stores {}",
-            config.table_sets,
-            index_tag_bits,
-            MarkovEntry::TAG_BITS
-        );
-        let table_id = shared.add_table(pv_start, config.table_sets, config.block_bytes, "Markov");
-        SharedVirtualizedMarkov {
-            table_id,
-            shared_capacity: shared.cache().capacity(),
-            table: PvTable::new(&config, PvStartRegister::new(pv_start)),
-            config,
+    /// bits than the packed entry stores (as [`Self::new`] does).
+    pub fn shared(proxy: &mut SharedPvProxy, config: PvConfig, pv_start: Address) -> Self {
+        check_geometry(&config);
+        VirtualizedMarkov {
+            table: ProxiedTable::lent(proxy, config, pv_start, "Markov"),
         }
     }
-
-    /// This table's id within the shared proxy.
-    pub fn table_id(&self) -> usize {
-        self.table_id
-    }
-
-    fn split_index(&self, index: u64) -> (usize, u64) {
-        (
-            (index as usize) & (self.config.table_sets - 1),
-            index >> self.config.table_sets.trailing_zeros(),
-        )
-    }
-
-    fn proxy(shared: Option<&mut SharedPvProxy>) -> &mut SharedPvProxy {
-        shared.expect("SharedVirtualizedMarkov requires the shared proxy it registered with")
-    }
-}
-
-impl NextAddrStorage for SharedVirtualizedMarkov {
-    fn lookup(
-        &mut self,
-        index: MarkovIndex,
-        mem: &mut MemoryHierarchy,
-        shared: Option<&mut SharedPvProxy>,
-        now: u64,
-    ) -> NextAddrLookup {
-        let raw = u64::from(index.raw());
-        let (set_index, tag) = self.split_index(raw);
-        let access = Self::proxy(shared).lookup_set(self.table_id, set_index, raw, mem, now);
-        let delta = if access.resident {
-            self.table.set_mut(set_index).lookup(tag).map(|entry| entry.delta())
-        } else {
-            None
-        };
-        NextAddrLookup {
-            delta,
-            ready_at: access.ready_at,
-        }
-    }
-
-    fn store(
-        &mut self,
-        index: MarkovIndex,
-        delta: i64,
-        mem: &mut MemoryHierarchy,
-        shared: Option<&mut SharedPvProxy>,
-        now: u64,
-    ) {
-        let raw = u64::from(index.raw());
-        let (set_index, tag) = self.split_index(raw);
-        let Some(entry) = MarkovEntry::new(tag as u16, delta) else {
-            return;
-        };
-        // Write-through only when the proxy accepted the store (unbacked
-        // sets have no memory behind them).
-        if Self::proxy(shared).store_set(self.table_id, set_index, mem, now)
-            == SharedStoreOutcome::Accepted
-        {
-            self.table.set_mut(set_index).insert(entry);
-        }
-    }
-
-    fn label(&self) -> String {
-        format!("Markov-shPV-{}", self.shared_capacity)
-    }
-
-    fn dedicated_storage_bytes(&self) -> u64 {
-        let sized = PvConfig {
-            pvcache_sets: self.shared_capacity,
-            ..self.config
-        };
-        PvStorageBudget::for_entry::<MarkovEntry>(&sized).total_bytes()
-    }
-
-    fn resident_entries(&self) -> usize {
-        self.table.resident_entries()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    // reset_stats: the default no-op — the proxy's owner resets its
-    // statistics once for all cohabiting tables.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pv_mem::{HierarchyConfig, PvRegionConfig};
+    use crate::entry::MarkovIndex;
+    use crate::storage::NextAddrStorage;
+    use pv_mem::{HierarchyConfig, MemoryHierarchy, PvRegionConfig};
 
     #[test]
     fn markov_round_trips_through_a_shared_proxy() {
@@ -151,11 +45,8 @@ mod tests {
         config.pv_regions = PvRegionConfig::with_bytes_per_core(4, 128 * 1024);
         let mut mem = MemoryHierarchy::new(config);
         let mut shared = SharedPvProxy::new(0, PvConfig::pv8());
-        let mut table = SharedVirtualizedMarkov::new(
-            &mut shared,
-            PvConfig::pv8(),
-            config.pv_regions.core_base(0),
-        );
+        let mut table =
+            VirtualizedMarkov::shared(&mut shared, PvConfig::pv8(), config.pv_regions.core_base(0));
         let index = MarkovIndex::from_pc(0x4000);
         table.store(index, -7, &mut mem, Some(&mut shared), 0);
         assert_eq!(
@@ -177,14 +68,14 @@ mod tests {
         let mut mem = MemoryHierarchy::new(config);
         let mut shared = SharedPvProxy::new(0, PvConfig::pv8());
         let base = config.pv_regions.core_base(0);
-        let mut first = SharedVirtualizedMarkov::new(&mut shared, PvConfig::pv8(), base);
-        let mut second = SharedVirtualizedMarkov::new(
+        let mut first = VirtualizedMarkov::shared(&mut shared, PvConfig::pv8(), base);
+        let mut second = VirtualizedMarkov::shared(
             &mut shared,
             PvConfig::pv8(),
             Address::new(base.raw() + 64 * 1024),
         );
-        assert_eq!(first.table_id(), 0);
-        assert_eq!(second.table_id(), 1);
+        assert_eq!(first.table().table_id(), 0);
+        assert_eq!(second.table().table_id(), 1);
 
         first.store(
             MarkovIndex::from_pc(0x4000),
@@ -238,11 +129,8 @@ mod tests {
         fn assert_send<T: Send>(_: &T) {}
         let config = HierarchyConfig::paper_baseline(4);
         let mut shared = SharedPvProxy::new(0, PvConfig::pv8());
-        let table = SharedVirtualizedMarkov::new(
-            &mut shared,
-            PvConfig::pv8(),
-            config.pv_regions.core_base(0),
-        );
+        let table =
+            VirtualizedMarkov::shared(&mut shared, PvConfig::pv8(), config.pv_regions.core_base(0));
         assert_send(&table);
         assert_send(&shared);
     }

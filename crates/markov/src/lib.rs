@@ -18,8 +18,12 @@
 //! Like the SMS PHT, the table's storage is abstracted behind a trait
 //! ([`NextAddrStorage`]) with a dedicated on-chip implementation
 //! ([`DedicatedMarkov`]) and a virtualized one ([`VirtualizedMarkov`])
-//! that adapts the *same* generic `PvProxy` — instantiated at
-//! `PvProxy<MarkovEntry>` — the SMS backend uses at `PvProxy<SmsEntry>`.
+//! that adapts the *same* generic `pv_core::ProxiedTable` — instantiated at
+//! `ProxiedTable<MarkovEntry>` — the SMS backend uses at
+//! `ProxiedTable<SmsEntry>`. [`VirtualizedMarkov::new`] gives the table a
+//! PVProxy of its own; [`VirtualizedMarkov::shared`] registers it with a
+//! per-core `pv_core::SharedPvProxy` that cohabiting predictors share
+//! ([`cohabit`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +33,6 @@ pub mod entry;
 pub mod prefetcher;
 pub mod storage;
 
-pub use cohabit::SharedVirtualizedMarkov;
 pub use entry::{MarkovConfig, MarkovEntry, MarkovIndex, INDEX_BITS, PC_INDEX_BITS};
 pub use prefetcher::{MarkovPrefetcher, MarkovResponse, MarkovStats};
 pub use storage::{

@@ -160,7 +160,7 @@ impl MarkovPrefetcher {
 mod tests {
     use super::*;
     use crate::storage::{DedicatedMarkov, VirtualizedMarkov};
-    use pv_core::{PvConfig, VirtualizedBackend};
+    use pv_core::PvConfig;
     use pv_mem::HierarchyConfig;
 
     fn mem() -> MemoryHierarchy {
@@ -229,8 +229,9 @@ mod tests {
             .as_any()
             .downcast_ref::<VirtualizedMarkov>()
             .unwrap()
-            .proxy()
-            .stats();
+            .table()
+            .stats()
+            .expect("the table owns its proxy");
         assert!(proxy_stats.memory_requests > 0);
     }
 

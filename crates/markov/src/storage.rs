@@ -2,10 +2,12 @@
 //!
 //! Mirrors the structure of `pv_sms::pht`: the engine talks to its table
 //! through [`NextAddrStorage`], so the same engine runs unmodified over a
-//! conventional on-chip table or over the `pv-core` substrate.
+//! conventional on-chip table or over the `pv-core` substrate. The
+//! cohabitation constructor of [`VirtualizedMarkov`] lives in
+//! [`crate::cohabit`].
 
 use crate::entry::{MarkovConfig, MarkovEntry, MarkovIndex};
-use pv_core::{PvConfig, PvEntry, PvProxy, PvStorageBudget, SharedPvProxy, VirtualizedBackend};
+use pv_core::{ProxiedTable, PvConfig, PvEntry, PvStorageBudget, SharedPvProxy};
 use pv_mem::{Address, MemoryHierarchy, ReplacementKind, SetAssociative};
 
 /// Result of a next-address lookup.
@@ -132,38 +134,31 @@ impl NextAddrStorage for DedicatedMarkov {
     }
 }
 
-/// The virtualized next-address table: the same generic `PvProxy` the SMS
-/// backend uses, instantiated at `MarkovEntry`'s 40-bit geometry.
+/// The virtualized next-address table: the same generic [`ProxiedTable`]
+/// the SMS backend uses, instantiated at `MarkovEntry`'s 40-bit geometry.
 #[derive(Debug)]
 pub struct VirtualizedMarkov {
-    proxy: PvProxy<MarkovEntry>,
+    pub(crate) table: ProxiedTable<MarkovEntry>,
 }
 
 impl VirtualizedMarkov {
-    /// Creates the virtualized table for `core`, with its PVTable based at
-    /// `pv_start`.
+    /// Creates the virtualized table for `core` with a PVProxy of its own,
+    /// with its PVTable based at `pv_start`.
     ///
     /// # Panics
     ///
     /// Panics if the configured number of table sets leaves more index tag
     /// bits than the packed entry stores (mirrors `VirtualizedPht::new`).
     pub fn new(core: usize, config: PvConfig, pv_start: Address) -> Self {
-        let index_tag_bits = crate::entry::INDEX_BITS - config.table_sets.trailing_zeros();
-        assert!(
-            index_tag_bits <= MarkovEntry::TAG_BITS,
-            "a {}-set PVTable needs {} tag bits but MarkovEntry stores {}",
-            config.table_sets,
-            index_tag_bits,
-            MarkovEntry::TAG_BITS
-        );
+        check_geometry(&config);
         VirtualizedMarkov {
-            proxy: PvProxy::new(core, config, pv_start),
+            table: ProxiedTable::owned(core, config, pv_start, "Markov"),
         }
     }
 
-    /// The generic proxy underneath (PVCache, PVTable, statistics).
-    pub fn proxy(&self) -> &PvProxy<MarkovEntry> {
-        &self.proxy
+    /// The typed table underneath (PVTable, owned proxy, statistics).
+    pub fn table(&self) -> &ProxiedTable<MarkovEntry> {
+        &self.table
     }
 
     /// The Section 4.6-style storage budget of a Markov proxy with
@@ -171,11 +166,18 @@ impl VirtualizedMarkov {
     pub fn storage_budget(config: &PvConfig) -> PvStorageBudget {
         PvStorageBudget::for_entry::<MarkovEntry>(config)
     }
+}
 
-    /// Writes every dirty PVCache entry back to the memory hierarchy.
-    pub fn drain(&mut self, mem: &mut MemoryHierarchy, now: u64) {
-        VirtualizedBackend::drain(&mut self.proxy, mem, now);
-    }
+/// Rejects table geometries whose index tags do not fit [`MarkovEntry`].
+pub(crate) fn check_geometry(config: &PvConfig) {
+    let index_tag_bits = crate::entry::INDEX_BITS - config.table_sets.trailing_zeros();
+    assert!(
+        index_tag_bits <= MarkovEntry::TAG_BITS,
+        "a {}-set PVTable needs {} tag bits but MarkovEntry stores {}",
+        config.table_sets,
+        index_tag_bits,
+        MarkovEntry::TAG_BITS
+    );
 }
 
 impl NextAddrStorage for VirtualizedMarkov {
@@ -183,13 +185,13 @@ impl NextAddrStorage for VirtualizedMarkov {
         &mut self,
         index: MarkovIndex,
         mem: &mut MemoryHierarchy,
-        _shared: Option<&mut SharedPvProxy>,
+        shared: Option<&mut SharedPvProxy>,
         now: u64,
     ) -> NextAddrLookup {
-        let lookup = self.proxy.lookup(u64::from(index.raw()), mem, now);
+        let (entry, ready_at) = self.table.lookup(u64::from(index.raw()), mem, shared, now);
         NextAddrLookup {
-            delta: lookup.entry.map(|e| e.delta()),
-            ready_at: lookup.ready_at,
+            delta: entry.map(|e| e.delta()),
+            ready_at,
         }
     }
 
@@ -198,26 +200,26 @@ impl NextAddrStorage for VirtualizedMarkov {
         index: MarkovIndex,
         delta: i64,
         mem: &mut MemoryHierarchy,
-        _shared: Option<&mut SharedPvProxy>,
+        shared: Option<&mut SharedPvProxy>,
         now: u64,
     ) {
         let raw = u64::from(index.raw());
-        let Some(entry) = MarkovEntry::new(self.proxy.tag_of(raw) as u16, delta) else {
+        let Some(entry) = MarkovEntry::new(self.table.tag_of(raw) as u16, delta) else {
             return;
         };
-        self.proxy.store(raw, entry, mem, now);
+        self.table.store(raw, entry, mem, shared, now);
     }
 
     fn label(&self) -> String {
-        format!("Markov-{}", VirtualizedBackend::label(&self.proxy))
+        format!("Markov-{}", self.table.label())
     }
 
     fn dedicated_storage_bytes(&self) -> u64 {
-        self.proxy.dedicated_storage_bytes()
+        self.table.storage_budget().total_bytes()
     }
 
     fn resident_entries(&self) -> usize {
-        self.proxy.resident_entries()
+        self.table.table().resident_entries()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -225,7 +227,7 @@ impl NextAddrStorage for VirtualizedMarkov {
     }
 
     fn reset_stats(&mut self) {
-        VirtualizedBackend::reset_stats(&mut self.proxy);
+        self.table.reset_stats();
     }
 }
 
@@ -270,7 +272,7 @@ mod tests {
         let index = MarkovIndex::from_pc(0x4000);
         table.store(index, 3, &mut mem, None, 0);
         assert_eq!(table.lookup(index, &mut mem, None, 100).delta, Some(3));
-        assert_eq!(table.proxy().stats().stores, 1);
+        assert_eq!(table.table().stats().unwrap().stores, 1);
         assert!(
             mem.stats().l2_requests.predictor > 0,
             "table traffic flows through the L2"
@@ -295,7 +297,7 @@ mod tests {
         let index = MarkovIndex::from_pc(0x4000);
         table.store(index, 0, &mut mem, None, 0);
         table.store(index, MarkovEntry::max_delta() + 1, &mut mem, None, 0);
-        assert_eq!(table.proxy().stats().stores, 0);
+        assert_eq!(table.table().stats().unwrap().stores, 0);
         assert!(table.lookup(index, &mut mem, None, 10).delta.is_none());
     }
 }

@@ -8,10 +8,16 @@
 //! bit-identically regardless of host or thread count. The two paper
 //! arrangements are provided as constructors:
 //!
-//! * **dedicated** — each table gets its own per-predictor `PvProxy` with a
+//! * **dedicated** — each table owns a one-table [`SharedPvProxy`] with a
 //!   private PVCache (the control configuration: 2 × C/2 sets);
-//! * **shared** — both tables arbitrate for one table-tagged
-//!   [`SharedPvProxy`] PVCache of C sets and one memory-request stream.
+//! * **shared** — the composite owns one [`SharedPvProxy`] and lends it to
+//!   both tables, which arbitrate for its table-tagged PVCache of C sets
+//!   and its one memory-request stream.
+//!
+//! Both arrangements use the same adapters (`VirtualizedPht`,
+//! `VirtualizedMarkov`); only who owns the proxy differs, and that alone
+//! decides whether a clean PVCache eviction discards in-set promotions
+//! (see `pv_core::shared`).
 //!
 //! Because the composite is itself a [`PrefetchEngine`], the simulator
 //! drives it through the exact same feed/issue path as a single engine,
@@ -21,9 +27,9 @@
 use crate::engine::{EngineSnapshot, PrefetchEngine, PvTableStats};
 use crate::repartition::{RepartitionConfig, RepartitionController};
 use pv_core::{PvConfig, PvRegionPlan, SharedPvProxy};
-use pv_markov::{MarkovConfig, MarkovPrefetcher, SharedVirtualizedMarkov, VirtualizedMarkov};
+use pv_markov::{MarkovConfig, MarkovPrefetcher, VirtualizedMarkov};
 use pv_mem::{BlockAddr, MemoryHierarchy};
-use pv_sms::{PrefetchAction, SharedVirtualizedPht, SmsConfig, SmsPrefetcher, VirtualizedPht};
+use pv_sms::{PrefetchAction, SmsConfig, SmsPrefetcher, VirtualizedPht};
 
 /// One core's set of cohabiting prefetch engines, composed behind the
 /// [`PrefetchEngine`] trait.
@@ -37,7 +43,7 @@ pub struct CompositePrefetcher {
     /// The cohabiting engines with their table labels, in feed order.
     engines: Vec<(String, Box<dyn PrefetchEngine>)>,
     /// Present only in the shared arrangement: the proxy the children's
-    /// cohabitation adapters registered their tables with.
+    /// adapters registered their tables with.
     shared: Option<SharedPvProxy>,
     /// Present only under dynamic repartitioning: the controller that
     /// samples per-table pressure on the owned proxy and moves the
@@ -72,8 +78,8 @@ impl CompositePrefetcher {
         }
     }
 
-    /// The dedicated arrangement: SMS and Markov each on their own
-    /// `PvProxy` (a PVCache of `pv.pvcache_sets` sets apiece), with tables
+    /// The dedicated arrangement: SMS and Markov each on a one-table proxy
+    /// of its own (a PVCache of `pv.pvcache_sets` sets apiece), with tables
     /// at `plan.base(core, 0)` and `plan.base(core, 1)`.
     pub fn dedicated(
         core: usize,
@@ -110,8 +116,8 @@ impl CompositePrefetcher {
         plan: &PvRegionPlan,
     ) -> Self {
         let mut proxy = SharedPvProxy::new(core, pv);
-        let pht = SharedVirtualizedPht::new(&mut proxy, pv, plan.base(core, 0));
-        let table = SharedVirtualizedMarkov::new(&mut proxy, pv, plan.base(core, 1));
+        let pht = VirtualizedPht::shared(&mut proxy, pv, plan.base(core, 0));
+        let table = VirtualizedMarkov::shared(&mut proxy, pv, plan.base(core, 1));
         let mut composite = Self::from_engines(vec![
             (
                 "SMS".to_owned(),
@@ -235,7 +241,7 @@ impl PrefetchEngine for CompositePrefetcher {
     }
 
     /// Resets engine and proxy statistics (learned state is preserved).
-    /// The owned proxy is reset here, once — the cohabitation adapters keep
+    /// The owned proxy is reset here, once — adapters on a lent proxy keep
     /// no statistics of their own.
     fn reset_stats(&mut self) {
         for (_, engine) in &mut self.engines {

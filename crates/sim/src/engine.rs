@@ -11,7 +11,7 @@
 
 use crate::repartition::RepartitionMetrics;
 use crate::throttle::ThrottleMetrics;
-use pv_core::{PvStats, SharedPvProxy, VirtualizedBackend};
+use pv_core::{PvStats, SharedPvProxy};
 use pv_markov::{MarkovPrefetcher, MarkovStats, VirtualizedMarkov};
 use pv_mem::{BlockAddr, MemoryHierarchy};
 use pv_sms::{PrefetchAction, SmsPrefetcher, SmsStats, VirtualizedPht};
@@ -188,7 +188,7 @@ impl PrefetchEngine for SmsPrefetcher {
                 .storage()
                 .as_any()
                 .downcast_ref::<VirtualizedPht>()
-                .map(|pht| *pht.proxy().stats()),
+                .and_then(|pht| pht.table().stats().copied()),
             ..EngineSnapshot::default()
         }
     }
@@ -235,7 +235,7 @@ impl PrefetchEngine for MarkovPrefetcher {
                 .storage()
                 .as_any()
                 .downcast_ref::<VirtualizedMarkov>()
-                .map(|table| *table.proxy().stats()),
+                .and_then(|table| table.table().stats().copied()),
             ..EngineSnapshot::default()
         }
     }

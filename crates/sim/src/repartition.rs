@@ -165,6 +165,11 @@ pub struct RepartitionController {
     writebacks: u64,
     /// Per-table `pvcache_misses` at the last window boundary.
     last_misses: Vec<u64>,
+    /// Per-table misses during the window just closed (scratch, sized once
+    /// so the window edge allocates nothing).
+    delta: Vec<u64>,
+    /// Per-table backed blocks at the window edge (scratch, sized once).
+    backed: Vec<u64>,
     /// Set by a boundary move: the next window only re-snapshots the miss
     /// counters. A move invalidates every cache entry whose backing block
     /// migrated (including the *winner's*, when its base address shifts),
@@ -223,6 +228,8 @@ impl RepartitionController {
             invalidated: 0,
             writebacks: 0,
             last_misses: vec![0; tables],
+            delta: vec![0; tables],
+            backed: vec![0; tables],
             cooldown: false,
             streak: 0,
             streak_winner: 0,
@@ -265,18 +272,19 @@ impl RepartitionController {
         let tables = self.plan.tables();
         // Misses this window (saturating: the stats reset at the warm-up
         // boundary, where the baseline resets with them).
-        let misses: Vec<u64> = (0..tables).map(|t| proxy.table_stats(t).pvcache_misses).collect();
-        let delta: Vec<u64> = misses
-            .iter()
-            .zip(&self.last_misses)
-            .map(|(m, last)| m.saturating_sub(*last))
-            .collect();
-        self.last_misses = misses;
+        for (table, (delta, last)) in self.delta.iter_mut().zip(&mut self.last_misses).enumerate() {
+            let misses = proxy.table_stats(table).pvcache_misses;
+            *delta = misses.saturating_sub(*last);
+            *last = misses;
+        }
         if self.cooldown {
             self.cooldown = false;
             return;
         }
-        let backed: Vec<u64> = (0..tables).map(|t| proxy.backed_blocks(t) as u64).collect();
+        for (table, backed) in self.backed.iter_mut().enumerate() {
+            *backed = proxy.backed_blocks(table) as u64;
+        }
+        let (delta, backed) = (&self.delta, &self.backed);
         // Pressure = misses per backed block; compared cross-multiplied so
         // the arithmetic stays exact (u128 headroom for the counters).
         let hotter = |a: usize, b: usize| {

@@ -1,193 +1,62 @@
-//! SMS on a *shared* PVProxy: the cohabitation adapter.
+//! SMS on a *shared* PVProxy: the cohabitation constructor.
 //!
-//! [`VirtualizedPht`](crate::VirtualizedPht) gives SMS a PVProxy of its own.
-//! [`SharedVirtualizedPht`] instead registers the SMS PVTable as one table
+//! [`VirtualizedPht::new`] gives SMS a PVProxy of its own.
+//! [`VirtualizedPht::shared`] instead registers the SMS PVTable as one table
 //! of a per-core [`SharedPvProxy`], so SMS and any cohabiting predictor
 //! (e.g. the Markov backend) arbitrate for the same table-tagged PVCache
-//! entries and the same L2/DRAM bandwidth. The SMS engine is — as always —
-//! unchanged: it still sees only [`PatternStorage`].
+//! entries and the same L2/DRAM bandwidth. The adapter is the same type in
+//! both arrangements, and the SMS engine is — as always — unchanged: it
+//! still sees only [`crate::PatternStorage`].
 //!
-//! The adapter does not own the proxy: the proxy lives with whoever composes
-//! the cohabiting engines (the composite prefetcher), and arrives by `&mut`
-//! through the `shared` parameter of every [`PatternStorage`] call. That
-//! keeps the adapter — and the whole simulator above it — `Send`, with no
-//! per-access `RefCell` borrow bookkeeping on the hot path.
+//! The adapter does not own a shared proxy: the proxy lives with whoever
+//! composes the cohabiting engines (the composite prefetcher), and arrives
+//! by `&mut` through the `shared` parameter of every
+//! [`crate::PatternStorage`] call. That keeps the adapter — and the whole
+//! simulator above it — `Send`, with no per-access `RefCell` borrow
+//! bookkeeping on the hot path.
 //!
-//! Contents are write-through: the adapter owns the authoritative
-//! `PvTable<SmsEntry>` and consults it only while the shared proxy reports
-//! the set resident (see `pv_core::shared` for the contract).
+//! Contents are write-through in the adapter's own `PvTable<SmsEntry>`,
+//! consulted only while the proxy reports the set resident. On a shared
+//! proxy, in-set recency promotions survive a clean PVCache eviction (see
+//! `pv_core::shared` for the rule).
 
-use crate::index::PhtIndex;
-use crate::pattern::SpatialPattern;
-use crate::pht::{PatternLookup, PatternStorage};
-use crate::virtualized::SmsEntry;
-use pv_core::{
-    PvConfig, PvEntry, PvLayout, PvStartRegister, PvStorageBudget, PvTable, SharedPvProxy,
-    SharedStoreOutcome,
-};
-use pv_mem::{Address, MemoryHierarchy};
+use crate::virtualized::{check_geometry, VirtualizedPht};
+use pv_core::{ProxiedTable, PvConfig, SharedPvProxy};
+use pv_mem::Address;
 
-/// The SMS pattern-history table bound to a shared, table-tagged PVProxy.
-#[derive(Debug)]
-pub struct SharedVirtualizedPht {
-    table_id: usize,
-    /// PVCache sets of the proxy this adapter registered with, captured at
-    /// construction (the proxy's capacity is fixed for its lifetime) so
-    /// `label`/`dedicated_storage_bytes` need no proxy access.
-    shared_capacity: usize,
-    config: PvConfig,
-    layout: PvLayout,
-    table: PvTable<SmsEntry>,
-}
-
-impl SharedVirtualizedPht {
+impl VirtualizedPht {
     /// Registers an SMS PVTable based at `pv_start` (normally a
-    /// `PvRegionPlan` sub-region base) with the core's shared proxy.
+    /// `PvRegionPlan` sub-region base) with the core's shared `proxy`.
     /// `config` describes this table's geometry; the PVCache capacity is the
     /// shared proxy's, not `config.pvcache_sets`.
     ///
     /// # Panics
     ///
     /// Panics if the configured number of table sets leaves more index tag
-    /// bits than the packed entry stores (mirrors `VirtualizedPht::new`).
-    pub fn new(shared: &mut SharedPvProxy, config: PvConfig, pv_start: Address) -> Self {
-        assert!(
-            PhtIndex::tag_bits(config.table_sets) <= SmsEntry::TAG_BITS,
-            "a {}-set PVTable needs {} tag bits but SmsEntry stores {}",
-            config.table_sets,
-            PhtIndex::tag_bits(config.table_sets),
-            SmsEntry::TAG_BITS
-        );
-        let table_id = shared.add_table(pv_start, config.table_sets, config.block_bytes, "SMS");
-        SharedVirtualizedPht {
-            table_id,
-            shared_capacity: shared.cache().capacity(),
-            layout: PvLayout::of::<SmsEntry>(config.block_bytes),
-            table: PvTable::new(&config, PvStartRegister::new(pv_start)),
-            config,
+    /// bits than the packed entry stores (as [`Self::new`] does).
+    pub fn shared(proxy: &mut SharedPvProxy, config: PvConfig, pv_start: Address) -> Self {
+        check_geometry(&config);
+        VirtualizedPht {
+            table: ProxiedTable::lent(proxy, config, pv_start, "SMS"),
         }
     }
-
-    /// This table's id within the shared proxy.
-    pub fn table_id(&self) -> usize {
-        self.table_id
-    }
-
-    /// Splits a raw PHT index into (set index, tag) for this geometry.
-    fn split_index(&self, index: u64) -> (usize, u64) {
-        (
-            (index as usize) & (self.config.table_sets - 1),
-            index >> self.config.table_sets.trailing_zeros(),
-        )
-    }
-
-    /// The proxy this adapter arbitrates through, out of the `shared`
-    /// parameter. Panics with a diagnosable message when a caller wires the
-    /// adapter up without one.
-    fn proxy(shared: Option<&mut SharedPvProxy>) -> &mut SharedPvProxy {
-        shared.expect("SharedVirtualizedPht requires the shared proxy it registered with")
-    }
-}
-
-impl PatternStorage for SharedVirtualizedPht {
-    fn lookup(
-        &mut self,
-        index: PhtIndex,
-        mem: &mut MemoryHierarchy,
-        shared: Option<&mut SharedPvProxy>,
-        now: u64,
-    ) -> PatternLookup {
-        let raw = u64::from(index.raw());
-        let (set_index, tag) = self.split_index(raw);
-        let access = Self::proxy(shared).lookup_set(self.table_id, set_index, raw, mem, now);
-        let pattern = if access.resident {
-            self.table.set_mut(set_index).lookup(tag).map(|entry| entry.pattern)
-        } else {
-            // Dropped (pattern buffer full): the prediction is lost even if
-            // the entry exists — the set never made it on chip.
-            None
-        };
-        PatternLookup {
-            pattern,
-            ready_at: access.ready_at,
-        }
-    }
-
-    fn store(
-        &mut self,
-        index: PhtIndex,
-        pattern: SpatialPattern,
-        mem: &mut MemoryHierarchy,
-        shared: Option<&mut SharedPvProxy>,
-        now: u64,
-    ) {
-        let raw = u64::from(index.raw());
-        let (set_index, tag) = self.split_index(raw);
-        let entry = SmsEntry::new(tag as u16, pattern);
-        // Same geometry guards as PvProxy::store: the structured table must
-        // only ever hold entries the packed layout could represent.
-        assert!(
-            entry.tag() <= self.layout.max_tag(),
-            "tag {:#x} exceeds the layout's {} tag bits",
-            entry.tag(),
-            self.layout.tag_bits
-        );
-        assert!(
-            entry.payload() != 0 && entry.payload() <= self.layout.max_payload(),
-            "payload {:#x} must be non-zero and fit the layout's {} payload bits",
-            entry.payload(),
-            self.layout.payload_bits
-        );
-        // Write-through only when the proxy accepted the store: an unbacked
-        // set has no memory behind it, so the entry must not survive in the
-        // structured table either.
-        if Self::proxy(shared).store_set(self.table_id, set_index, mem, now)
-            == SharedStoreOutcome::Accepted
-        {
-            self.table.set_mut(set_index).insert(entry);
-        }
-    }
-
-    fn label(&self) -> String {
-        format!("shPV-{}", self.shared_capacity)
-    }
-
-    fn dedicated_storage_bytes(&self) -> u64 {
-        // The budget of the whole shared proxy at this entry's widths; the
-        // proxy is shared, so cohabiting adapters deliberately report the
-        // same pooled figure rather than a per-table split.
-        let sized = PvConfig {
-            pvcache_sets: self.shared_capacity,
-            ..self.config
-        };
-        PvStorageBudget::for_entry::<SmsEntry>(&sized).total_bytes()
-    }
-
-    fn resident_patterns(&self) -> usize {
-        self.table.resident_entries()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    // reset_stats: the default no-op. The proxy's statistics belong to its
-    // owner (the composite), which resets them once for all tables.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::TriggerKey;
-    use pv_mem::{HierarchyConfig, PvRegionConfig};
+    use crate::index::{PhtIndex, TriggerKey};
+    use crate::pattern::SpatialPattern;
+    use crate::pht::PatternStorage;
+    use pv_mem::{HierarchyConfig, MemoryHierarchy, PvRegionConfig};
 
-    fn setup() -> (MemoryHierarchy, SharedPvProxy, SharedVirtualizedPht) {
+    fn setup() -> (MemoryHierarchy, SharedPvProxy, VirtualizedPht) {
         let mut config = HierarchyConfig::paper_baseline(4);
         config.pv_regions = PvRegionConfig::with_bytes_per_core(4, 128 * 1024);
         let mem = MemoryHierarchy::new(config);
         let mut shared = SharedPvProxy::new(0, PvConfig::pv8());
         let pht =
-            SharedVirtualizedPht::new(&mut shared, PvConfig::pv8(), config.pv_regions.core_base(0));
+            VirtualizedPht::shared(&mut shared, PvConfig::pv8(), config.pv_regions.core_base(0));
         (mem, shared, pht)
     }
 

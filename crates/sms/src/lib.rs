@@ -19,8 +19,12 @@
 //! trait: [`DedicatedPht`] and [`InfinitePht`] are conventional on-chip
 //! tables, and [`VirtualizedPht`] plugs SMS into the generic `pv-core`
 //! substrate by implementing `pv_core::PvEntry` for [`SmsEntry`] (the
-//! 43-bit packed entry of Figure 3a) and adapting `PvProxy<SmsEntry>` to
-//! `PatternStorage`. The engine is identical in all three configurations.
+//! 43-bit packed entry of Figure 3a) and adapting
+//! `pv_core::ProxiedTable<SmsEntry>` to `PatternStorage`. One adapter type
+//! serves both virtualized arrangements: [`VirtualizedPht::new`] gives the
+//! PHT a PVProxy of its own, and [`VirtualizedPht::shared`] registers it
+//! with a per-core `pv_core::SharedPvProxy` that cohabiting predictors
+//! share ([`cohabit`]). The engine is identical in every configuration.
 //!
 //! # Example
 //!
@@ -68,7 +72,6 @@ pub mod stats;
 pub mod virtualized;
 
 pub use agt::{ActiveGenerationTable, AgtUpdate, CompletedGeneration, TriggerInfo};
-pub use cohabit::SharedVirtualizedPht;
 pub use config::{PhtGeometry, SmsConfig};
 pub use index::{PhtIndex, TriggerKey};
 pub use pattern::SpatialPattern;

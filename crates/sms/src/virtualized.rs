@@ -5,14 +5,17 @@
 //! substrate by implementing [`PvEntry`] for [`SmsEntry`] (an 11-bit tag
 //! plus a 32-bit spatial pattern — the 43-bit packed entry of the paper's
 //! Figure 3a), and [`VirtualizedPht`] adapts the generic
-//! `PvProxy<SmsEntry>` to the engine-facing [`PatternStorage`] trait so the
-//! unmodified SMS engine runs on top of it — exactly the property the paper
-//! relies on ("the optimization engine remains unchanged").
+//! `ProxiedTable<SmsEntry>` to the engine-facing [`PatternStorage`] trait
+//! so the unmodified SMS engine runs on top of it — exactly the property
+//! the paper relies on ("the optimization engine remains unchanged").
+//!
+//! [`VirtualizedPht::new`] gives the PHT a PVProxy of its own; the
+//! cohabitation constructor lives in [`crate::cohabit`].
 
 use crate::index::{PhtIndex, INDEX_BITS};
 use crate::pattern::SpatialPattern;
 use crate::pht::{PatternLookup, PatternStorage};
-use pv_core::{PvConfig, PvEntry, PvProxy, PvStorageBudget, VirtualizedBackend};
+use pv_core::{ProxiedTable, PvConfig, PvEntry, PvStorageBudget, SharedPvProxy};
 use pv_mem::{Address, MemoryHierarchy};
 
 /// One packed PHT entry as the virtualized table stores it: the tag bits of
@@ -57,48 +60,48 @@ impl PvEntry for SmsEntry {
 }
 
 /// The virtualized PHT backend for one core's SMS prefetcher: a thin
-/// [`PatternStorage`] adapter over the generic [`PvProxy`].
+/// [`PatternStorage`] adapter over a [`ProxiedTable`].
 #[derive(Debug)]
 pub struct VirtualizedPht {
-    proxy: PvProxy<SmsEntry>,
+    pub(crate) table: ProxiedTable<SmsEntry>,
 }
 
 impl VirtualizedPht {
-    /// Creates the virtualized PHT for `core`, with its PVTable based at
-    /// `pv_start` (normally `HierarchyConfig::pv_regions.core_base(core)`).
+    /// Creates the virtualized PHT for `core` with a PVProxy of its own,
+    /// with its PVTable based at `pv_start` (normally
+    /// `HierarchyConfig::pv_regions.core_base(core)`).
     ///
     /// # Panics
     ///
     /// Panics if the configured number of table sets leaves more index tag
     /// bits than the packed entry stores.
     pub fn new(core: usize, config: PvConfig, pv_start: Address) -> Self {
-        assert!(
-            PhtIndex::tag_bits(config.table_sets) <= SmsEntry::TAG_BITS,
-            "a {}-set PVTable needs {} tag bits but SmsEntry stores {}",
-            config.table_sets,
-            PhtIndex::tag_bits(config.table_sets),
-            SmsEntry::TAG_BITS
-        );
+        check_geometry(&config);
         VirtualizedPht {
-            proxy: PvProxy::new(core, config, pv_start),
+            table: ProxiedTable::owned(core, config, pv_start, "SMS"),
         }
     }
 
-    /// The generic proxy underneath (PVCache, PVTable, statistics).
-    pub fn proxy(&self) -> &PvProxy<SmsEntry> {
-        &self.proxy
+    /// The typed table underneath (PVTable, owned proxy, statistics).
+    pub fn table(&self) -> &ProxiedTable<SmsEntry> {
+        &self.table
     }
 
     /// The Section 4.6 storage budget of an SMS proxy with `config`.
     pub fn storage_budget(config: &PvConfig) -> PvStorageBudget {
         PvStorageBudget::for_entry::<SmsEntry>(config)
     }
+}
 
-    /// Writes every dirty PVCache entry back to the memory hierarchy (used
-    /// at the end of a simulation window so no learned state is lost).
-    pub fn drain(&mut self, mem: &mut MemoryHierarchy, now: u64) {
-        VirtualizedBackend::drain(&mut self.proxy, mem, now);
-    }
+/// Rejects table geometries whose index tags do not fit [`SmsEntry`].
+pub(crate) fn check_geometry(config: &PvConfig) {
+    assert!(
+        PhtIndex::tag_bits(config.table_sets) <= SmsEntry::TAG_BITS,
+        "a {}-set PVTable needs {} tag bits but SmsEntry stores {}",
+        config.table_sets,
+        PhtIndex::tag_bits(config.table_sets),
+        SmsEntry::TAG_BITS
+    );
 }
 
 impl PatternStorage for VirtualizedPht {
@@ -106,13 +109,13 @@ impl PatternStorage for VirtualizedPht {
         &mut self,
         index: PhtIndex,
         mem: &mut MemoryHierarchy,
-        _shared: Option<&mut pv_core::SharedPvProxy>,
+        shared: Option<&mut SharedPvProxy>,
         now: u64,
     ) -> PatternLookup {
-        let lookup = self.proxy.lookup(u64::from(index.raw()), mem, now);
+        let (entry, ready_at) = self.table.lookup(u64::from(index.raw()), mem, shared, now);
         PatternLookup {
-            pattern: lookup.entry.map(|e| e.pattern),
-            ready_at: lookup.ready_at,
+            pattern: entry.map(|e| e.pattern),
+            ready_at,
         }
     }
 
@@ -121,24 +124,24 @@ impl PatternStorage for VirtualizedPht {
         index: PhtIndex,
         pattern: SpatialPattern,
         mem: &mut MemoryHierarchy,
-        _shared: Option<&mut pv_core::SharedPvProxy>,
+        shared: Option<&mut SharedPvProxy>,
         now: u64,
     ) {
         let raw = u64::from(index.raw());
-        let entry = SmsEntry::new(self.proxy.tag_of(raw) as u16, pattern);
-        self.proxy.store(raw, entry, mem, now);
+        let entry = SmsEntry::new(self.table.tag_of(raw) as u16, pattern);
+        self.table.store(raw, entry, mem, shared, now);
     }
 
     fn label(&self) -> String {
-        VirtualizedBackend::label(&self.proxy)
+        self.table.label()
     }
 
     fn dedicated_storage_bytes(&self) -> u64 {
-        self.proxy.dedicated_storage_bytes()
+        self.table.storage_budget().total_bytes()
     }
 
     fn resident_patterns(&self) -> usize {
-        self.proxy.resident_entries()
+        self.table.table().resident_entries()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -146,7 +149,7 @@ impl PatternStorage for VirtualizedPht {
     }
 
     fn reset_stats(&mut self) {
-        VirtualizedBackend::reset_stats(&mut self.proxy);
+        self.table.reset_stats();
     }
 }
 
@@ -170,7 +173,7 @@ mod tests {
     #[test]
     fn entry_widths_reproduce_the_papers_figure_3a_layout() {
         let (_, pht) = setup();
-        let layout = *pht.proxy().layout();
+        let layout = *pht.table().layout();
         assert_eq!(SmsEntry::TAG_BITS, 11);
         assert_eq!(SmsEntry::entry_bits(), 43);
         assert_eq!(
@@ -192,6 +195,10 @@ mod tests {
         assert_eq!(PatternStorage::label(&pht), "PV-8");
     }
 
+    fn stats(pht: &VirtualizedPht) -> &pv_core::PvStats {
+        pht.table().stats().expect("the PHT owns its proxy")
+    }
+
     #[test]
     fn cold_lookup_misses_and_costs_memory_latency() {
         let (mut mem, mut pht) = setup();
@@ -201,8 +208,8 @@ mod tests {
             lookup.ready_at >= 400,
             "cold PVTable set must come from DRAM"
         );
-        assert_eq!(pht.proxy().stats().pvcache_misses, 1);
-        assert_eq!(pht.proxy().stats().memory_requests, 1);
+        assert_eq!(stats(&pht).pvcache_misses, 1);
+        assert_eq!(stats(&pht).memory_requests, 1);
     }
 
     #[test]
@@ -213,7 +220,7 @@ mod tests {
         pht.store(index, pattern, &mut mem, None, 0);
         let lookup = pht.lookup(index, &mut mem, None, 1_000);
         assert_eq!(lookup.pattern, Some(pattern));
-        assert_eq!(pht.proxy().stats().pvcache_hits, 1);
+        assert_eq!(stats(&pht).pvcache_hits, 1);
     }
 
     #[test]
@@ -222,7 +229,7 @@ mod tests {
         let pattern = SpatialPattern::from_offsets([1, 2]);
         // Store patterns into more distinct sets than the PVCache holds so
         // the first one is evicted (dirty) and written back.
-        let capacity = pht.proxy().config().pvcache_sets;
+        let capacity = pht.table().config().pvcache_sets;
         for i in 0..(capacity + 4) as u64 {
             // Consecutive instruction words map to different PVTable sets
             // (the set index is the low bits of PC-bits concatenated with
@@ -230,7 +237,7 @@ mod tests {
             let index = index_for(0x4000 + i * 4, 1);
             pht.store(index, pattern, &mut mem, None, i * 1000);
         }
-        assert!(pht.proxy().stats().dirty_writebacks >= 1);
+        assert!(stats(&pht).dirty_writebacks >= 1);
         // The first index's pattern must still be retrievable: its set comes
         // back from the memory hierarchy.
         let lookup = pht.lookup(index_for(0x4000, 1), &mut mem, None, 1_000_000);
@@ -250,9 +257,9 @@ mod tests {
         // second memory request) and the early hit reports the in-flight
         // fill's completion time rather than pretending the data arrived.
         let second = pht.lookup(index, &mut mem, None, 1);
-        assert_eq!(pht.proxy().stats().memory_requests, 1);
+        assert_eq!(stats(&pht).memory_requests, 1);
         assert_eq!(second.ready_at, first.ready_at);
-        assert_eq!(pht.proxy().stats().pending_hits, 1);
+        assert_eq!(stats(&pht).pending_hits, 1);
     }
 
     #[test]

@@ -72,20 +72,50 @@ fn hot_paths_do_not_allocate() {
     // --- Whole-system steady state: with replayed traces (decode from a
     // borrowed byte slice, no per-record work in the generator) a warmed-up
     // scheduling phase must reuse every buffer — event heap, targets,
-    // action scratch, AGT update, eviction scratch — and allocate nothing.
-    // Queued contention exercises extra hot-path machinery the Ideal runs
-    // never touch — L2 port scalars, MSHR backpressure waits, and the
-    // per-channel DRAM in-flight rings (fixed-capacity since PR 10, so the
-    // contended drain/admit path must also stay at zero).
+    // action scratch, AGT update, eviction scratch, PVCache fill copies,
+    // repartition window scratch — and allocate nothing, for every
+    // prefetcher preset. Queued contention exercises extra hot-path
+    // machinery the Ideal runs never touch — L2 port scalars, MSHR
+    // backpressure waits, and the per-channel DRAM in-flight rings.
+    //
+    // Two records grow without bound by design and may still allocate,
+    // amortized, after the warm-up: `InfinitePht`'s map and the throttle's
+    // level-change trace. Neither grows in the measured phase of this
+    // deterministic run. `composite_shared_dynamic(8)` is left out: every
+    // boundary move it makes allocates (`PvRegionPlan::replan` copies the
+    // new sizes with `to_vec`, `SharedPvProxy::apply_plan` rebuilds the
+    // cache's entry `Vec`, and the move is pushed onto the `plan_trace`).
+    let presets = [
+        PrefetcherKind::None,
+        PrefetcherKind::sms_1k_16a(),
+        PrefetcherKind::sms_1k_11a(),
+        PrefetcherKind::sms_16_11a(),
+        PrefetcherKind::sms_8_11a(),
+        PrefetcherKind::sms_infinite(),
+        PrefetcherKind::sms_pv8(),
+        PrefetcherKind::sms_pv16(),
+        PrefetcherKind::markov_1k(),
+        PrefetcherKind::markov_pv8(),
+        PrefetcherKind::composite_dedicated(4),
+        PrefetcherKind::composite_shared(8),
+        PrefetcherKind::composite_shared_scarce(8),
+        PrefetcherKind::sms_pv8_throttled(),
+        PrefetcherKind::markov_pv8_throttled(),
+    ];
     let phase = 10_000u64;
     for contention in [ContentionModel::Ideal, ContentionModel::Queued] {
-        for kind in [PrefetcherKind::None, PrefetcherKind::sms_1k_11a()] {
+        for kind in &presets {
             // Window sizes are irrelevant here — `run_records` drives phases
             // directly — but validation requires a non-empty measurement
             // window.
             let mut config = SimConfig::quick(kind.clone());
             config.warmup_records = 0;
             config.measure_records = 1;
+            // Cohabiting tables need a larger PV region than the default.
+            let needed = config.prefetcher.pv_bytes_per_core();
+            if needed > config.hierarchy.pv_regions.bytes_per_core {
+                config.hierarchy = config.hierarchy.with_pv_bytes_per_core(needed);
+            }
             config.hierarchy = config.hierarchy.with_contention(contention);
             let streams: Vec<Box<dyn AccessStream>> = (0..config.cores)
                 .map(|core| {

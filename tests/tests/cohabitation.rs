@@ -4,10 +4,10 @@
 
 use pv_core::{PvConfig, PvRegionPlan, SharedPvProxy};
 use pv_experiments::{cohabit, HierarchyVariant, RunSpec, Runner, Scale};
-use pv_markov::{MarkovIndex, NextAddrStorage, SharedVirtualizedMarkov};
+use pv_markov::{MarkovIndex, NextAddrStorage, VirtualizedMarkov};
 use pv_mem::{ContentionModel, HierarchyConfig, MemoryHierarchy};
 use pv_sim::PrefetcherKind;
-use pv_sms::{PatternStorage, SharedVirtualizedPht, SpatialPattern, TriggerKey};
+use pv_sms::{PatternStorage, SpatialPattern, TriggerKey, VirtualizedPht};
 use pv_workloads::WorkloadId;
 
 /// The two backends cohabit one proxy: different entry widths, different
@@ -19,8 +19,8 @@ fn sms_and_markov_share_one_proxy_and_one_cache() {
     let pv = PvConfig::pv8();
     let plan = PvRegionPlan::new(config.pv_regions, vec![pv.table_bytes(), pv.table_bytes()]);
     let mut shared = SharedPvProxy::new(0, pv);
-    let mut sms = SharedVirtualizedPht::new(&mut shared, pv, plan.base(0, 0));
-    let mut markov = SharedVirtualizedMarkov::new(&mut shared, pv, plan.base(0, 1));
+    let mut sms = VirtualizedPht::shared(&mut shared, pv, plan.base(0, 0));
+    let mut markov = VirtualizedMarkov::shared(&mut shared, pv, plan.base(0, 1));
 
     let pattern = SpatialPattern::from_offsets([1, 4, 7]);
     sms.store(
@@ -81,8 +81,8 @@ fn one_table_can_claim_the_whole_shared_cache() {
     let pv = PvConfig::pv8();
     let plan = PvRegionPlan::new(config.pv_regions, vec![pv.table_bytes(), pv.table_bytes()]);
     let mut shared = SharedPvProxy::new(0, pv);
-    let mut sms = SharedVirtualizedPht::new(&mut shared, pv, plan.base(0, 0));
-    let mut markov = SharedVirtualizedMarkov::new(&mut shared, pv, plan.base(0, 1));
+    let mut sms = VirtualizedPht::shared(&mut shared, pv, plan.base(0, 0));
+    let mut markov = VirtualizedMarkov::shared(&mut shared, pv, plan.base(0, 1));
 
     // Markov touches one set; SMS then streams through more sets than the
     // cache holds, displacing it entirely.

@@ -1,10 +1,10 @@
 //! Substrate generality: two distinct `PvEntry` implementations — SMS's
 //! 43-bit spatial-pattern entries and the Markov prefetcher's 40-bit
-//! next-address entries — run through the *same* generic `PvProxy`, and
-//! their traffic accounting is directly comparable (the issue's acceptance
-//! criterion for the dependency inversion).
+//! next-address entries — run through the *same* generic `ProxiedTable`
+//! and proxy, and their traffic accounting is directly comparable (the
+//! acceptance criterion for the dependency inversion).
 
-use pv_core::{PvConfig, PvEntry, PvProxy, VirtualizedBackend};
+use pv_core::{ProxiedTable, PvConfig, PvEntry};
 use pv_markov::MarkovEntry;
 use pv_mem::{HierarchyConfig, MemoryHierarchy};
 use pv_sim::{run_workload, PrefetcherKind, SimConfig};
@@ -21,18 +21,16 @@ fn drive_proxy<E: PvEntry>(
 ) -> pv_core::PvStats {
     let config = HierarchyConfig::paper_baseline(4);
     let mut mem = MemoryHierarchy::new(config);
-    let mut proxy: PvProxy<E> = PvProxy::new(0, PvConfig::pv8(), config.pv_regions.core_base(0));
+    let mut table: ProxiedTable<E> =
+        ProxiedTable::owned(0, PvConfig::pv8(), config.pv_regions.core_base(0), "T");
     for i in 0..operations {
         let index = (i % distinct_sets) | ((i % 7) << 10);
-        let entry = make_entry(proxy.tag_of(index));
-        proxy.store(index, entry, &mut mem, i * 50);
-        let lookup = proxy.lookup(index, &mut mem, i * 50 + 10);
-        assert!(
-            lookup.entry.is_some(),
-            "a just-stored entry must be retrievable"
-        );
+        let entry = make_entry(table.tag_of(index));
+        table.store(index, entry, &mut mem, None, i * 50);
+        let (found, _) = table.lookup(index, &mut mem, None, i * 50 + 10);
+        assert!(found.is_some(), "a just-stored entry must be retrievable");
     }
-    *proxy.stats()
+    *table.stats().expect("the table owns its proxy")
 }
 
 #[test]
@@ -75,17 +73,18 @@ fn both_backends_run_through_the_same_proxy_with_consistent_accounting() {
 #[test]
 fn backend_layouts_and_budgets_derive_from_their_entry_widths() {
     let config = HierarchyConfig::paper_baseline(4);
-    let sms: PvProxy<SmsEntry> = PvProxy::new(0, PvConfig::pv8(), config.pv_regions.core_base(0));
-    let markov: PvProxy<MarkovEntry> =
-        PvProxy::new(1, PvConfig::pv8(), config.pv_regions.core_base(1));
+    let sms: ProxiedTable<SmsEntry> =
+        ProxiedTable::owned(0, PvConfig::pv8(), config.pv_regions.core_base(0), "SMS");
+    let markov: ProxiedTable<MarkovEntry> =
+        ProxiedTable::owned(1, PvConfig::pv8(), config.pv_regions.core_base(1), "Markov");
 
     assert_eq!(sms.layout().entry_bits(), 43);
     assert_eq!(sms.layout().entries_per_block(), 11);
     assert_eq!(markov.layout().entry_bits(), 40);
     assert_eq!(markov.layout().entries_per_block(), 12);
     // Different widths, different budgets — from the same formulas.
-    assert_eq!(sms.dedicated_storage_bytes(), 889);
-    assert_eq!(markov.dedicated_storage_bytes(), 896);
+    assert_eq!(sms.storage_budget().total_bytes(), 889);
+    assert_eq!(markov.storage_budget().total_bytes(), 896);
 }
 
 #[test]
