@@ -398,9 +398,10 @@ fn bench_stats_record(iters: u64) -> f64 {
     elapsed.as_nanos() as f64 / iters as f64
 }
 
-/// The L2-MSHR per-miss sequence (retire + lookup + register) with the
-/// cached-earliest early exit: on the common nothing-has-completed path
-/// each retire is a single compare instead of a map scan.
+/// The L2-MSHR per-miss sequence (retire + lookup + register) on the flat
+/// 64-slot file: lookup and register scan the live entries, and the cached
+/// earliest completion makes each retire a single compare on the common
+/// nothing-has-completed path.
 fn bench_mshr_cycle(iters: u64) -> f64 {
     let mut mshr = MshrFile::new(64);
     let mut state = 0x3c6e_f372_fe94_f82bu64;
@@ -661,7 +662,7 @@ fn run_profile() {
         (
             "mshr/retire_register",
             best(bench_mshr_cycle, COMPONENT_ITERS),
-            "per-miss MSHR retire + lookup + register (cached earliest)",
+            "per-miss MSHR retire + lookup + register (flat-array scans, cached earliest)",
         ),
     ];
     eprintln!();

@@ -9,7 +9,7 @@
 use crate::address::BlockAddr;
 use crate::block::LineState;
 use crate::config::CacheConfig;
-use crate::set_assoc::SetAssociative;
+use crate::set_assoc::{Occupied, Probe, SetAssociative};
 use crate::stats::CacheStats;
 use std::fmt;
 
@@ -148,26 +148,7 @@ impl Cache {
             AccessKind::Write => self.stats.writes += 1,
         }
         if let Some(line) = self.array.get_mut(set, tag) {
-            let residual = line.ready_at.saturating_sub(now);
-            let late_prefetch = residual > 0 && line.prefetched_unused;
-            let first_use_of_prefetch = line.prefetched_unused;
-            line.prefetched_unused = false;
-            if kind == AccessKind::Write {
-                line.state = LineState::Dirty;
-            }
-            match kind {
-                AccessKind::Read => self.stats.read_hits += 1,
-                AccessKind::Write => self.stats.write_hits += 1,
-            }
-            if late_prefetch {
-                self.stats.late_prefetch_hits += 1;
-            }
-            AccessOutcome {
-                hit: true,
-                latency: self.config.data_latency.max(residual),
-                late_prefetch,
-                first_use_of_prefetch,
-            }
+            record_hit(line, kind, now, &self.config, &mut self.stats)
         } else {
             match kind {
                 AccessKind::Read => self.stats.read_misses += 1,
@@ -198,13 +179,6 @@ impl Cache {
         if origin == FillOrigin::Prefetch {
             self.stats.prefetch_fills += 1;
         }
-        // If the block is already present just merge state.
-        if let Some(line) = self.array.get_mut(set, tag) {
-            if dirty {
-                line.state = LineState::Dirty;
-            }
-            return None;
-        }
         let meta = LineMeta {
             state: if dirty {
                 LineState::Dirty
@@ -214,21 +188,57 @@ impl Cache {
             ready_at,
             prefetched_unused: origin == FillOrigin::Prefetch,
         };
-        let evicted = self.array.insert(set, tag, meta);
-        evicted.map(|occ| {
-            let victim_block = BlockAddr::new(occ.tag * self.sets as u64 + set as u64);
-            if occ.value.prefetched_unused {
-                self.stats.prefetched_evicted_unused += 1;
+        match self.array.get_mut_or_insert(set, tag, meta) {
+            // Already present: just merge state.
+            Probe::Hit(line) => {
+                if dirty {
+                    line.state = LineState::Dirty;
+                }
+                None
             }
-            if occ.value.state.is_dirty() {
-                self.stats.writebacks += 1;
+            Probe::Filled(evicted) => evicted.map(|occ| self.victim(set, occ)),
+        }
+    }
+
+    /// Absorbs a write-back of `block` from the level above at cycle `now`.
+    ///
+    /// It counts as a write access. A hit dirties the line. A miss
+    /// allocates the line dirty without fetching from below, because a
+    /// write-back carries the whole block; the data lands `data_latency`
+    /// after `now`. One way scan serves both cases.
+    pub fn write_back(&mut self, block: BlockAddr, now: u64) -> Option<Evicted> {
+        let (set, tag) = self.index(block);
+        self.stats.writes += 1;
+        let meta = LineMeta {
+            state: LineState::Dirty,
+            ready_at: now + self.config.data_latency,
+            prefetched_unused: false,
+        };
+        match self.array.get_mut_or_insert(set, tag, meta) {
+            Probe::Hit(line) => {
+                record_hit(line, AccessKind::Write, now, &self.config, &mut self.stats);
+                None
             }
-            Evicted {
-                block: victim_block,
-                dirty: occ.value.state.is_dirty(),
-                prefetched_unused: occ.value.prefetched_unused,
+            Probe::Filled(evicted) => {
+                self.stats.write_misses += 1;
+                evicted.map(|occ| self.victim(set, occ))
             }
-        })
+        }
+    }
+
+    /// Accounts for the line that a fill into `set` pushed out.
+    fn victim(&mut self, set: usize, occ: Occupied<LineMeta>) -> Evicted {
+        if occ.value.prefetched_unused {
+            self.stats.prefetched_evicted_unused += 1;
+        }
+        if occ.value.state.is_dirty() {
+            self.stats.writebacks += 1;
+        }
+        Evicted {
+            block: BlockAddr::new(occ.tag * self.sets as u64 + set as u64),
+            dirty: occ.value.state.is_dirty(),
+            prefetched_unused: occ.value.prefetched_unused,
+        }
     }
 
     /// Removes `block` from the cache, returning its state if present.
@@ -246,18 +256,6 @@ impl Cache {
         })
     }
 
-    /// Marks `block` dirty if present (used when a write-back from above
-    /// lands on an already-resident L2 line).
-    pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
-        let (set, tag) = self.index(block);
-        if let Some(line) = self.array.get_mut(set, tag) {
-            line.state = LineState::Dirty;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Statistics collected so far.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
@@ -271,6 +269,37 @@ impl Cache {
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
         self.array.len()
+    }
+}
+
+/// A demand access that hit `line`: consumes a pending prefetch, dirties
+/// the line on a write and pays any residual in-flight latency.
+fn record_hit(
+    line: &mut LineMeta,
+    kind: AccessKind,
+    now: u64,
+    config: &CacheConfig,
+    stats: &mut CacheStats,
+) -> AccessOutcome {
+    let residual = line.ready_at.saturating_sub(now);
+    let late_prefetch = residual > 0 && line.prefetched_unused;
+    let first_use_of_prefetch = line.prefetched_unused;
+    line.prefetched_unused = false;
+    if kind == AccessKind::Write {
+        line.state = LineState::Dirty;
+    }
+    match kind {
+        AccessKind::Read => stats.read_hits += 1,
+        AccessKind::Write => stats.write_hits += 1,
+    }
+    if late_prefetch {
+        stats.late_prefetch_hits += 1;
+    }
+    AccessOutcome {
+        hit: true,
+        latency: config.data_latency.max(residual),
+        late_prefetch,
+        first_use_of_prefetch,
     }
 }
 
@@ -384,11 +413,29 @@ mod tests {
     }
 
     #[test]
-    fn mark_dirty_only_affects_resident_lines() {
+    fn write_back_dirties_resident_lines_and_allocates_missing_ones() {
         let mut cache = tiny_cache();
-        assert!(!cache.mark_dirty(BlockAddr::new(1)));
-        cache.fill(BlockAddr::new(1), false, 0, FillOrigin::Demand);
-        assert!(cache.mark_dirty(BlockAddr::new(1)));
+        // Miss: allocates dirty, fetches nothing, counts a write miss.
+        assert!(cache.write_back(BlockAddr::new(1), 10).is_none());
+        assert!(cache.contains(BlockAddr::new(1)));
+        assert_eq!(cache.stats().write_misses, 1);
+        // Hit on a clean prefetched line still in flight: a late write hit
+        // that consumes the prefetch and dirties the line.
+        cache.fill(BlockAddr::new(2), false, 100, FillOrigin::Prefetch);
+        assert!(cache.write_back(BlockAddr::new(2), 60).is_none());
+        assert_eq!(cache.stats().writes, 2);
+        assert_eq!(cache.stats().write_hits, 1);
+        assert_eq!(cache.stats().late_prefetch_hits, 1);
+        let evicted = cache.invalidate(BlockAddr::new(2)).unwrap();
+        assert!(evicted.dirty);
+        assert!(!evicted.prefetched_unused);
+        // A write-back into a full set evicts like a fill does.
+        cache.fill(BlockAddr::new(0), true, 0, FillOrigin::Demand);
+        cache.fill(BlockAddr::new(4), false, 0, FillOrigin::Demand);
+        let victim = cache.write_back(BlockAddr::new(8), 0).expect("set 0 is full");
+        assert_eq!(victim.block, BlockAddr::new(0));
+        assert!(victim.dirty);
+        assert_eq!(cache.stats().writebacks, 1);
     }
 
     #[test]

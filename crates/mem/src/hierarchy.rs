@@ -700,19 +700,7 @@ impl MemoryHierarchy {
         let predictor = self.in_pv_region(block);
         self.stats.l2_requests.record(predictor);
         let start = self.acquire_l2_port(block, predictor, now);
-        if self.l2.mark_dirty(block) {
-            // Count as a write hit for the L2's own statistics.
-            let _ = self.l2.access(block, AccessKind::Write, start);
-            return;
-        }
-        let _ = self.l2.access(block, AccessKind::Write, start);
-        let evicted = self.l2.fill(
-            block,
-            true,
-            start + self.config.l2.data_latency,
-            FillOrigin::Demand,
-        );
-        if let Some(ev) = evicted {
+        if let Some(ev) = self.l2.write_back(block, start) {
             if ev.dirty {
                 let victim_predictor = self.in_pv_region(ev.block);
                 self.stats.l2_writebacks.record(victim_predictor);

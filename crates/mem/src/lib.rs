@@ -77,6 +77,6 @@ pub use prefetch::NextLinePrefetcher;
 pub use replacement::{
     Lru, RandomEvict, ReplacementKind, ReplacementPolicy, ReplacementState, TreePlru,
 };
-pub use set_assoc::{Occupied, SetAssociative};
+pub use set_assoc::{Occupied, Probe, SetAssociative};
 pub use set_assoc_ref::ReferenceSetAssociative;
 pub use stats::{CacheStats, DelayBreakdown, HierarchyStats, NextLineStats, TrafficBreakdown};

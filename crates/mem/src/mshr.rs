@@ -7,7 +7,6 @@
 //! contains "an MSHR-like structure").
 
 use crate::address::BlockAddr;
-use std::collections::HashMap;
 
 /// One outstanding fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,13 +36,20 @@ pub enum MshrOutcome {
 }
 
 /// A file of miss-status holding registers.
+///
+/// The live entries sit unordered in the first `len` slots of one flat
+/// array of exactly `capacity` slots (the paper's configurations use 4 to 64).
+/// Every operation is a linear scan by [`BlockAddr`]: at these sizes a scan
+/// of a few cache lines beats hashing, and since nothing observes the order
+/// of the entries, results do not depend on it.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
-    capacity: usize,
-    entries: HashMap<u64, MshrEntry>,
-    /// Cached minimum `ready_at` over `entries` (`u64::MAX` when empty), so
-    /// the per-miss [`Self::retire`] call is a single compare on the common
-    /// nothing-has-completed-yet path instead of a full map scan. Updated
+    /// `capacity` slots; only `entries[..len]` are live.
+    entries: Box<[MshrEntry]>,
+    len: usize,
+    /// Cached minimum `ready_at` over the live entries (`u64::MAX` when
+    /// empty), so the per-miss [`Self::retire`] call is a single compare on
+    /// the common nothing-has-completed-yet path instead of a scan. Updated
     /// on insert (`min`), recomputed only when entries actually retire.
     earliest: u64,
     /// Peak simultaneous occupancy, for reporting.
@@ -57,24 +63,24 @@ pub struct MshrFile {
 impl MshrFile {
     /// Creates an MSHR file with `capacity` entries.
     ///
-    /// Occupancy is hard-capped at `capacity` ([`Self::register`] reports
-    /// [`MshrOutcome::Full`] instead of growing), so pre-sizing the map
-    /// here means it never reallocates afterwards — the access hot path
-    /// stays allocation-free (pinned by `tests/tests/alloc_free.rs`).
-    /// The reservation is 2× the cap because the std `HashMap` leaves
-    /// tombstones behind removals and only rehashes in place (rather than
-    /// growing) when live items fit in half the table; twice the cap keeps
-    /// every retire/insert churn pattern under that threshold, whatever
-    /// the per-process hash seed scatters where.
+    /// The entry array is allocated here at exactly `capacity` slots and
+    /// never grows, because [`Self::register`] reports [`MshrOutcome::Full`]
+    /// instead of inserting past the cap; the access hot path stays
+    /// allocation-free (pinned by `tests/tests/alloc_free.rs`).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "an MSHR file needs at least one entry");
+        let vacant = MshrEntry {
+            block: BlockAddr::new(0),
+            ready_at: 0,
+            merged: 0,
+        };
         MshrFile {
-            capacity,
-            entries: HashMap::with_capacity(capacity * 2),
+            entries: vec![vacant; capacity].into_boxed_slice(),
+            len: 0,
             earliest: u64::MAX,
             peak_occupancy: 0,
             merges: 0,
@@ -84,12 +90,12 @@ impl MshrFile {
 
     /// Number of entries currently in flight.
     pub fn occupancy(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.entries.len()
     }
 
     /// Peak simultaneous occupancy observed.
@@ -109,18 +115,29 @@ impl MshrFile {
 
     /// Drops entries whose fills have completed by `now`. The cached
     /// earliest completion makes the common no-entry-has-completed case a
-    /// single compare; the map is only scanned when something retires.
+    /// single compare; otherwise one compaction pass keeps the pending
+    /// entries and recomputes the earliest completion as it goes.
     pub fn retire(&mut self, now: u64) {
         if self.earliest > now {
             return;
         }
-        self.entries.retain(|_, entry| entry.ready_at > now);
-        self.earliest = self.entries.values().map(|entry| entry.ready_at).min().unwrap_or(u64::MAX);
+        let mut earliest = u64::MAX;
+        let mut kept = 0;
+        for i in 0..self.len {
+            let entry = self.entries[i];
+            if entry.ready_at > now {
+                earliest = earliest.min(entry.ready_at);
+                self.entries[kept] = entry;
+                kept += 1;
+            }
+        }
+        self.len = kept;
+        self.earliest = earliest;
     }
 
     /// Looks up an in-flight fill for `block`.
     pub fn lookup(&self, block: BlockAddr) -> Option<&MshrEntry> {
-        self.entries.get(&block.raw())
+        self.entries[..self.len].iter().find(|entry| entry.block == block)
     }
 
     /// The completion cycle of the entry that will retire first, or `None`
@@ -135,7 +152,7 @@ impl MshrFile {
     /// completed entries) and returns the wait in cycles; returns 0 when a
     /// slot is already free. The request is delayed, never dropped.
     pub fn wait_for_slot(&mut self, now: u64) -> u64 {
-        if self.entries.len() < self.capacity {
+        if self.len < self.entries.len() {
             return 0;
         }
         let Some(drain) = self.earliest_ready() else {
@@ -153,34 +170,33 @@ impl MshrFile {
     /// that the file is full.
     pub fn register(&mut self, block: BlockAddr, now: u64, ready_at: u64) -> MshrOutcome {
         self.retire(now);
-        if let Some(entry) = self.entries.get_mut(&block.raw()) {
+        let live = &mut self.entries[..self.len];
+        if let Some(entry) = live.iter_mut().find(|entry| entry.block == block) {
             entry.merged += 1;
             self.merges += 1;
             return MshrOutcome::Merged {
                 ready_at: entry.ready_at,
             };
         }
-        if self.entries.len() >= self.capacity {
+        if self.len == self.entries.len() {
             self.full_stalls += 1;
             return MshrOutcome::Full;
         }
-        self.entries.insert(
-            block.raw(),
-            MshrEntry {
-                block,
-                ready_at,
-                merged: 1,
-            },
-        );
+        self.entries[self.len] = MshrEntry {
+            block,
+            ready_at,
+            merged: 1,
+        };
+        self.len += 1;
         self.earliest = self.earliest.min(ready_at);
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
+        self.peak_occupancy = self.peak_occupancy.max(self.len);
         MshrOutcome::Allocated
     }
 
     /// Clears all in-flight state (used when resetting between sampling
     /// windows).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.len = 0;
         self.earliest = u64::MAX;
     }
 }

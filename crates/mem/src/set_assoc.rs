@@ -26,6 +26,16 @@ pub struct Occupied<T> {
     pub value: T,
 }
 
+/// Result of [`SetAssociative::get_mut_or_insert`].
+#[derive(Debug)]
+pub enum Probe<'a, T> {
+    /// The tag was resident; its recency was updated.
+    Hit(&'a mut T),
+    /// The tag was absent and has been inserted, evicting the returned
+    /// entry if the set was full.
+    Filled(Option<Occupied<T>>),
+}
+
 /// A set-associative array of `sets` sets with `ways` ways each.
 ///
 /// Entries are addressed by `(set_index, tag)`. Replacement decisions within
@@ -150,11 +160,31 @@ impl<T> SetAssociative<T> {
     /// tag was already present.
     pub fn insert(&mut self, set: usize, tag: u64, value: T) -> Option<Occupied<T>> {
         self.assert_set(set);
-        let base = set * self.ways;
         if let Some(way) = self.way_of(set, tag) {
             self.replacement.on_access(set, way);
-            return self.entries[base + way].replace(Occupied { tag, value });
+            return self.entries[set * self.ways + way].replace(Occupied { tag, value });
         }
+        self.fill_victim(set, tag, value)
+    }
+
+    /// One way scan that either touches a resident `(set, tag)` like
+    /// [`Self::get_mut`] or, when it is absent, inserts `value` like
+    /// [`Self::insert`]. A resident entry keeps its value.
+    pub fn get_mut_or_insert(&mut self, set: usize, tag: u64, value: T) -> Probe<'_, T> {
+        self.assert_set(set);
+        match self.way_of(set, tag) {
+            Some(way) => {
+                self.replacement.on_access(set, way);
+                let slot = self.entries[set * self.ways + way].as_mut();
+                Probe::Hit(&mut slot.expect("way_of found an occupied way").value)
+            }
+            None => Probe::Filled(self.fill_victim(set, tag, value)),
+        }
+    }
+
+    /// Installs an absent `(set, tag)` in the replacement victim's way.
+    fn fill_victim(&mut self, set: usize, tag: u64, value: T) -> Option<Occupied<T>> {
+        let base = set * self.ways;
         let entries = &self.entries;
         let way = self.replacement.victim(set, |w| entries[base + w].is_some());
         assert!(

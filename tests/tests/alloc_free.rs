@@ -1,8 +1,9 @@
 //! Allocation-freedom guards for the per-record hot path.
 //!
 //! This binary swaps in a counting global allocator and asserts that the
-//! L1-hit access path performs **zero** heap allocations per record, and
-//! that a warmed-up simulation phase stays allocation-free end to end.
+//! L1-hit access path performs **zero** heap allocations per record, that
+//! an MSHR file at capacity churns without allocating, and that a
+//! warmed-up simulation phase stays allocation-free end to end.
 //! Everything allocation-sensitive lives in the single test below: the
 //! libtest harness runs tests in this binary concurrently, and a second
 //! test's setup allocations would contaminate the counter.
@@ -10,7 +11,10 @@
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pv_mem::{AccessKind, ContentionModel, EvictionBuffer, HierarchyConfig, MemoryHierarchy};
+use pv_mem::{
+    AccessKind, BlockAddr, ContentionModel, EvictionBuffer, HierarchyConfig, MemoryHierarchy,
+    MshrFile, MshrOutcome,
+};
 use pv_sim::{PrefetcherKind, SimConfig, System};
 use pv_trace::{record_generator, ReplayStream};
 use pv_workloads::{workloads, AccessStream};
@@ -67,6 +71,31 @@ fn hot_paths_do_not_allocate() {
         allocations() - before,
         0,
         "the L1-hit access path must not heap-allocate"
+    );
+
+    // --- MSHR churn: a capacity-64 file held at capacity through 100k
+    // cycles of a refused register (the Ideal-mode overflow), a backpressure
+    // wait that drains one entry, and a register that refills the slot.
+    // Only construction may allocate. ---
+    let mut mshr = MshrFile::new(64);
+    for block in 0..64u64 {
+        mshr.register(BlockAddr::new(block), 0, 1 + block);
+    }
+    let before = allocations();
+    let mut now = 0u64;
+    for block in 64..100_064u64 {
+        let block = BlockAddr::new(block);
+        assert_eq!(mshr.register(block, now, now + 64), MshrOutcome::Full);
+        now += mshr.wait_for_slot(now);
+        mshr.retire(now);
+        assert_eq!(mshr.register(block, now, now + 64), MshrOutcome::Allocated);
+        assert_eq!(mshr.occupancy(), 64, "the file must stay at capacity");
+    }
+    assert_eq!(mshr.full_stalls(), 100_000);
+    assert_eq!(
+        allocations() - before,
+        0,
+        "MSHR register/retire/wait_for_slot churn must not heap-allocate"
     );
 
     // --- Whole-system steady state: with replayed traces (decode from a

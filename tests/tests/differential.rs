@@ -8,9 +8,12 @@
 //! [`packing::reference`]; here both generations are driven with identical
 //! seeded random op streams and must agree on every observable: hits,
 //! misses, evicted victims, occupancy, and bit-exact packed block layouts.
+//! The same holds for the flat-array MSHR file against the hash-map file it
+//! replaced ([`pv_tests::ReferenceMshrFile`]) and for the DRAM in-flight
+//! ring against its reference deque.
 
 use pv_core::{decode_set, encode_set, packing, PvLayout, PvSet, RawEntry};
-use pv_mem::{ReferenceSetAssociative, ReplacementKind, SetAssociative};
+use pv_mem::{Probe, ReferenceSetAssociative, ReplacementKind, SetAssociative};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,7 +48,24 @@ fn drive_differential(kind: ReplacementKind, seed: u64) {
                     "get mismatch at op {op} (kind {kind:?}, {sets}x{ways})"
                 );
             }
-            4..=7 => {
+            7 => {
+                // The single-probe get-or-insert must behave like a get
+                // followed, on a miss, by an insert.
+                let value = op;
+                let a = match flat.get_mut_or_insert(set, tag, value) {
+                    Probe::Hit(resident) => Ok(*resident),
+                    Probe::Filled(evicted) => Err(evicted),
+                };
+                let b = match reference.get(set, tag) {
+                    Some(&resident) => Ok(resident),
+                    None => Err(reference.insert(set, tag, value)),
+                };
+                assert_eq!(
+                    a, b,
+                    "get_mut_or_insert mismatch at op {op} (kind {kind:?}, {sets}x{ways})"
+                );
+            }
+            4..=6 => {
                 let value = op;
                 let a = flat.insert(set, tag, value);
                 let b = reference.insert(set, tag, value);
@@ -308,5 +328,113 @@ fn queued_dram_service_matches_the_reference_inflight_queue() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// MSHR file: the flat fixed-capacity array against the hash-map file it
+// replaced (`pv_tests::ReferenceMshrFile`).
+// ---------------------------------------------------------------------------
+
+use pv_mem::{BlockAddr, MshrFile, MshrOutcome};
+use pv_tests::ReferenceMshrFile;
+
+/// Every observable counter of the two files must agree.
+fn assert_same_mshr_state(flat: &MshrFile, reference: &ReferenceMshrFile, context: &str) {
+    assert_eq!(flat.capacity(), reference.capacity(), "capacity, {context}");
+    assert_eq!(
+        flat.occupancy(),
+        reference.occupancy(),
+        "occupancy, {context}"
+    );
+    assert_eq!(
+        flat.peak_occupancy(),
+        reference.peak_occupancy(),
+        "peak_occupancy, {context}"
+    );
+    assert_eq!(flat.merges(), reference.merges(), "merges, {context}");
+    assert_eq!(
+        flat.full_stalls(),
+        reference.full_stalls(),
+        "full_stalls, {context}"
+    );
+    assert_eq!(
+        flat.earliest_ready(),
+        reference.earliest_ready(),
+        "earliest_ready, {context}"
+    );
+}
+
+/// Seeded random `register` / `lookup` / `retire` / `wait_for_slot` /
+/// `clear` streams over a block universe about twice the capacity, so
+/// merges, misses and full files all occur. Time mostly advances, in bursts
+/// that fill the file (registers then meet `Full`, as they do under Ideal
+/// contention where nobody waits for a slot), and sometimes steps back
+/// below an earlier `retire`, as requesters with their own clocks do. Each
+/// operation's result and every counter must match after every operation.
+#[test]
+fn flat_mshr_file_matches_the_reference_hash_map() {
+    for capacity in [1usize, 4, 16, 64] {
+        let (mut full, mut merged, mut rewinds) = (0u64, 0u64, 0u64);
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed * 131 + capacity as u64);
+            let mut flat = MshrFile::new(capacity);
+            let mut reference = ReferenceMshrFile::new(capacity);
+            let universe = 2 * capacity as u64 + 1;
+            let mut now = 0u64;
+            let mut latest_retire = 0u64;
+            for op in 0..6_000u32 {
+                let context = format!("capacity {capacity}, seed {seed}, op {op}");
+                let burst = (op / 500) % 2 == 0;
+                now = match rng.gen_range(0u32..12) {
+                    0 => now.saturating_sub(rng.gen_range(0u64..300)),
+                    _ if burst => now + rng.gen_range(0u64..2),
+                    _ => now + rng.gen_range(0u64..60),
+                };
+                if now < latest_retire {
+                    rewinds += 1;
+                }
+                let block = BlockAddr::new(rng.gen_range(0..universe));
+                match rng.gen_range(0u32..20) {
+                    0..=8 => {
+                        let ready_at = now + rng.gen_range(0u64..400);
+                        let outcome = flat.register(block, now, ready_at);
+                        assert_eq!(
+                            outcome,
+                            reference.register(block, now, ready_at),
+                            "register, {context}"
+                        );
+                        full += u64::from(outcome == MshrOutcome::Full);
+                        merged += u64::from(matches!(outcome, MshrOutcome::Merged { .. }));
+                        latest_retire = latest_retire.max(now);
+                    }
+                    9..=12 => assert_eq!(
+                        flat.lookup(block),
+                        reference.lookup(block),
+                        "lookup, {context}"
+                    ),
+                    13..=15 => {
+                        flat.retire(now);
+                        reference.retire(now);
+                        latest_retire = latest_retire.max(now);
+                    }
+                    16..=18 => assert_eq!(
+                        flat.wait_for_slot(now),
+                        reference.wait_for_slot(now),
+                        "wait_for_slot, {context}"
+                    ),
+                    19 if rng.gen_range(0u32..8) == 0 => {
+                        flat.clear();
+                        reference.clear();
+                    }
+                    _ => {}
+                }
+                assert_same_mshr_state(&flat, &reference, &context);
+            }
+        }
+        // The streams must reach every regime they claim to cover.
+        assert!(full > 0, "capacity {capacity}: no register met a full file");
+        assert!(merged > 0, "capacity {capacity}: no register merged");
+        assert!(rewinds > 0, "capacity {capacity}: time never stepped back");
     }
 }
