@@ -13,7 +13,6 @@
 
 use crate::entry::{ones, PvEntry, PvLayout};
 use crate::table::PvSet;
-use bytes::{Bytes, BytesMut};
 
 /// Mask of the low `bits` bits of a 128-bit window (`bits <= 64`).
 fn low_mask(bits: u32) -> u128 {
@@ -61,7 +60,7 @@ pub fn read_bits(buffer: &[u8], bit_offset: usize, bits: u32) -> u64 {
 ///
 /// Panics if the set holds more entries than fit in one block under
 /// `layout`, or if an entry's tag or payload exceeds the layout's widths.
-pub fn encode_set<E: PvEntry>(set: &PvSet<E>, layout: &PvLayout) -> Bytes {
+pub fn encode_set<E: PvEntry>(set: &PvSet<E>, layout: &PvLayout) -> Vec<u8> {
     assert!(
         set.len() <= layout.entries_per_block(),
         "set holds {} entries but only {} fit in a {}-byte block",
@@ -69,7 +68,7 @@ pub fn encode_set<E: PvEntry>(set: &PvSet<E>, layout: &PvLayout) -> Bytes {
         layout.entries_per_block(),
         layout.block_bytes
     );
-    let mut buffer = BytesMut::zeroed(layout.block_bytes as usize);
+    let mut buffer = vec![0u8; layout.block_bytes as usize];
     for (slot, entry) in set.iter().enumerate() {
         let (tag, payload) = (entry.tag(), entry.payload());
         assert!(
@@ -95,7 +94,7 @@ pub fn encode_set<E: PvEntry>(set: &PvSet<E>, layout: &PvLayout) -> Bytes {
             layout.payload_bits,
         );
     }
-    buffer.freeze()
+    buffer
 }
 
 /// Decodes a packed block back into a PVTable set.
@@ -167,7 +166,7 @@ pub mod reference {
     }
 
     /// [`super::encode_set`] over the bit-at-a-time primitives.
-    pub fn encode_set<E: PvEntry>(set: &PvSet<E>, layout: &PvLayout) -> Bytes {
+    pub fn encode_set<E: PvEntry>(set: &PvSet<E>, layout: &PvLayout) -> Vec<u8> {
         assert!(
             set.len() <= layout.entries_per_block(),
             "set holds {} entries but only {} fit in a {}-byte block",
@@ -175,7 +174,7 @@ pub mod reference {
             layout.entries_per_block(),
             layout.block_bytes
         );
-        let mut buffer = BytesMut::zeroed(layout.block_bytes as usize);
+        let mut buffer = vec![0u8; layout.block_bytes as usize];
         for (slot, entry) in set.iter().enumerate() {
             let bit_offset = slot * layout.entry_bits() as usize;
             write_bits(&mut buffer, bit_offset, entry.tag(), layout.tag_bits);
@@ -186,7 +185,7 @@ pub mod reference {
                 layout.payload_bits,
             );
         }
-        buffer.freeze()
+        buffer
     }
 
     /// [`super::decode_set`] over the bit-at-a-time primitives.

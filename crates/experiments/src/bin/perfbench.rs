@@ -20,9 +20,11 @@
 //! the region lookup it replaced, and `memory/inflight_ring`, the
 //! fixed-capacity DRAM in-flight ring vs the retained `VecDeque`
 //! reference) and a Queued-contention end-to-end row whose ratio against
-//! its Ideal twin is reported in the summary, and writes the results as
-//! `BENCH_PR10.json` (schema `pv-perfbench/2`, documented in the README's
-//! Performance section).
+//! its Ideal twin is reported in the summary, and writes the results
+//! (schema `pv-perfbench/2`, documented in the README's Performance
+//! section) to `out.json`, by default the untracked
+//! `target/perfbench.json`: a run never overwrites the committed
+//! `BENCH_PR*.json` trend records unless one is named explicitly.
 //!
 //! Each end-to-end row also carries a digest of the run's `RunMetrics`
 //! (cycles, misses, traffic, coverage): optimisation PRs must keep those
@@ -31,14 +33,14 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p pv-experiments --bin perfbench [out.json] \
+//! cargo run --release -p pv-experiments --bin perfbench -- [out.json] \
 //!     [--check-against BASELINE.json]
 //! cargo run --release -p pv-experiments --bin perfbench -- --profile
 //! ```
 //!
 //! With `--check-against`, the end-to-end rows are compared against the
-//! matching rows of a previously-recorded JSON (e.g. the committed
-//! `BENCH_PR4.json`): the process exits non-zero when the geometric-mean
+//! matching rows of a previously-recorded JSON (CI uses the committed
+//! `BENCH_PR9.json`): the process exits non-zero when the geometric-mean
 //! records/sec ratio regresses by more than 25% — or when the
 //! `hierarchy/access_queued` micro regresses by more than 50% against the
 //! baseline's recording, so the contended path cannot silently regress
@@ -285,7 +287,8 @@ fn bench_memory_service(iters: u64) -> f64 {
     for _ in 0..iters {
         let r = next();
         let addr = pv_mem::Address::new(((r >> 2) % (16 * 1024 * 1024)) * 64);
-        std::hint::black_box(memory.read(addr, now).latency);
+        let predictor = memory.is_predictor_address(addr);
+        std::hint::black_box(memory.read(addr, predictor, now).latency);
         now += 3;
     }
     start.elapsed().as_nanos() as f64 / iters as f64
@@ -722,7 +725,7 @@ fn main() {
             }
         }
     }
-    let out_path = out_path.unwrap_or_else(|| "BENCH_PR10.json".to_owned());
+    let out_path = out_path.unwrap_or_else(|| "target/perfbench.json".to_owned());
 
     let mut runs = Vec::new();
     for kind in all_kinds() {
@@ -1040,6 +1043,9 @@ fn main() {
     ));
     json.push_str("}\n");
 
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("failed to create the output directory");
+    }
     std::fs::write(&out_path, &json).expect("failed to write benchmark JSON");
     eprintln!(
         "wrote {out_path}: end-to-end geomean {:.2}x vs pre-refactor, queued-contention \

@@ -25,8 +25,7 @@
 //! thread counts and hosts — and one final `{"type": "summary", ...}`
 //! object where all the wall-clock throughput lives.
 
-use crate::runner::Scale;
-use parking_lot::Mutex;
+use crate::runner::{lock, Scale};
 use pv_mem::{ContentionModel, HierarchyConfig};
 use pv_sim::{
     run_streams, run_workload, run_workload_mix, PrefetcherKind, RunMetrics, SimConfig,
@@ -36,7 +35,7 @@ use pv_trace::Scenario;
 use pv_workloads::WorkloadId;
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 /// What the four cores run at one grid point.
@@ -253,7 +252,7 @@ pub fn run_fleet(
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
     for (index, _) in points.iter().enumerate() {
-        deques[index % threads].lock().push_back(index);
+        lock(&deques[index % threads]).push_back(index);
     }
 
     let (tx, rx) = mpsc::channel::<String>();
@@ -266,9 +265,9 @@ pub fn run_fleet(
                 // Own work from the front; steal from the *back* of the
                 // next non-empty neighbour so thieves and owners contend
                 // for opposite ends of a deque.
-                let index = deques[me].lock().pop_front().or_else(|| {
+                let index = lock(&deques[me]).pop_front().or_else(|| {
                     (1..threads)
-                        .find_map(|offset| deques[(me + offset) % threads].lock().pop_back())
+                        .find_map(|offset| lock(&deques[(me + offset) % threads]).pop_back())
                 });
                 let Some(index) = index else { break };
                 let point = &points[index];

@@ -12,8 +12,8 @@
 //! cargo run --release -p pv-experiments --bin reproduce -- fig9 --scale paper
 //! ```
 //!
-//! Every experiment is also exposed as a library function so the Criterion
-//! benches in `pv-bench` and the integration tests can call it directly.
+//! Every experiment is also exposed as a library function so the integration
+//! tests can call it directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

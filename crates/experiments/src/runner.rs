@@ -1,13 +1,19 @@
 //! Shared simulation runner with caching and parallel execution.
 
-use parking_lot::Mutex;
 use pv_mem::{ContentionModel, HierarchyConfig};
 use pv_sim::{run_streams, run_workload, run_workload_mix, PrefetcherKind, RunMetrics, SimConfig};
 use pv_trace::Scenario;
 use pv_workloads::WorkloadId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering from poisoning: every lock in this crate is
+/// held for one map or deque operation and never across a simulation run,
+/// so a holder that panicked cannot have left the data half-updated.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// How long each simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,7 +23,7 @@ pub enum Scale {
     /// The full windows used for the numbers recorded in `EXPERIMENTS.md`
     /// (see that file at the repository root for how each scale is used).
     Paper,
-    /// Very short windows for unit/integration tests and Criterion benches.
+    /// Very short windows for unit/integration tests and CI runs.
     Smoke,
 }
 
@@ -333,11 +339,11 @@ impl Runner {
     }
 
     fn metrics_for_key(&self, key: RunKey) -> Arc<RunMetrics> {
-        if let Some(found) = self.cache.lock().get(&key) {
+        if let Some(found) = lock(&self.cache).get(&key) {
             return Arc::clone(found);
         }
         let metrics = self.execute(&key);
-        self.cache.lock().insert(key, Arc::clone(&metrics));
+        lock(&self.cache).insert(key, Arc::clone(&metrics));
         metrics
     }
 
@@ -363,7 +369,7 @@ impl Runner {
 
     fn prefetch_keys(&self, keys: Vec<RunKey>) {
         let pending: Vec<RunKey> = {
-            let cache = self.cache.lock();
+            let cache = lock(&self.cache);
             let mut seen = std::collections::HashSet::new();
             keys.into_iter()
                 .filter(|key| !cache.contains_key(key) && seen.insert(key.clone()))
@@ -383,11 +389,11 @@ impl Runner {
                     };
                     // Re-check under the lock in case another worker beat us
                     // to it.
-                    if self.cache.lock().contains_key(key) {
+                    if lock(&self.cache).contains_key(key) {
                         continue;
                     }
                     let metrics = self.execute(key);
-                    self.cache.lock().insert(key.clone(), metrics);
+                    lock(&self.cache).insert(key.clone(), metrics);
                 });
             }
         });

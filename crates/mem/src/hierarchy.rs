@@ -112,7 +112,7 @@ impl DataClass {
 /// The hot path used to heap-allocate a `Vec<BlockAddr>` inside every
 /// [`AccessResponse`] / [`PrefetchResponse`]; the buffer replaces that with
 /// a fixed-capacity inline array the caller threads through
-/// [`MemoryHierarchy::access_with_evictions`] and
+/// [`MemoryHierarchy::access_data`] and
 /// [`MemoryHierarchy::prefetch_into_l1d`] — the same reuse discipline as
 /// the simulator's prefetch-action scratch. The hierarchy clears it on
 /// entry and pushes at most one victim per access (a single L1 fill evicts
@@ -346,9 +346,9 @@ impl MemoryHierarchy {
     /// Debug builds panic if `requester.core` is out of range (release
     /// builds panic on the first indexed access instead).
     ///
-    /// Callers that need the evicted blocks (the simulator's engine feed)
-    /// use [`Self::access_with_evictions`]; this convenience form discards
-    /// them through a throwaway stack scratch, which is free.
+    /// L1 evictions are discarded through a stack scratch, which is free:
+    /// the one caller that needs them, the simulator's engine feed on core
+    /// data accesses, uses [`Self::access_data`].
     pub fn access(
         &mut self,
         requester: Requester,
@@ -357,24 +357,7 @@ impl MemoryHierarchy {
         class: DataClass,
         now: u64,
     ) -> AccessResponse {
-        let mut scratch = EvictionBuffer::default();
-        self.access_with_evictions(requester, addr, kind, class, now, &mut scratch)
-    }
-
-    /// [`Self::access`] with L1 eviction reporting: `evictions` is cleared
-    /// and receives the blocks displaced from the requesting core's L1 data
-    /// cache (used by SMS to close spatial generations). The buffer is
-    /// caller-owned scratch so the response path never allocates.
-    pub fn access_with_evictions(
-        &mut self,
-        requester: Requester,
-        addr: u64,
-        kind: AccessKind,
-        class: DataClass,
-        now: u64,
-        evictions: &mut EvictionBuffer,
-    ) -> AccessResponse {
-        evictions.clear();
+        let evictions = &mut EvictionBuffer::default();
         self.assert_core(requester.core);
         let block = Address::new(addr).block();
         match requester.kind {
@@ -399,12 +382,15 @@ impl MemoryHierarchy {
 
     /// The core data-access path, shorn of requester classification: a
     /// demand access through `core`'s L1 data cache with the L1-hit case
-    /// handled first. Equivalent to
-    /// `access_with_evictions(Requester::data(core), addr, kind,
-    /// DataClass::Application, now, evictions)` — the simulator's
-    /// per-record hot path calls this so the overwhelmingly common L1 hit
-    /// does a single tag probe and returns without touching the requester
-    /// `match`, the eviction buffer contents, or any classification work.
+    /// handled first. Equivalent to `access(Requester::data(core), addr,
+    /// kind, DataClass::Application, now)`, except that `evictions` is
+    /// cleared and receives the blocks displaced from the core's L1 data
+    /// cache (used by SMS to close spatial generations; the buffer is
+    /// caller-owned scratch so the response path never allocates). The
+    /// simulator's per-record hot path calls this so the overwhelmingly
+    /// common L1 hit does a single tag probe and returns without touching
+    /// the requester `match`, the eviction buffer contents, or any
+    /// classification work.
     #[inline]
     pub fn access_data(
         &mut self,
@@ -658,7 +644,7 @@ impl MemoryHierarchy {
             queue_delay += mshr_stall;
             let issue_at = below_start + mshr_stall;
             self.stats.dram_reads += 1;
-            let response = self.dram.read_classified(block.base_address(), region, issue_at);
+            let response = self.dram.read(block.base_address(), region, issue_at);
             queue_delay += response.queue_delay;
             let ready = issue_at + response.latency;
             let _ = self.l2_mshr.register(block, start, ready);
@@ -672,11 +658,7 @@ impl MemoryHierarchy {
                 let victim_predictor = self.in_pv_region(ev.block);
                 self.stats.l2_writebacks.record(victim_predictor);
                 self.stats.dram_writes += 1;
-                self.dram.write_classified(
-                    ev.block.base_address(),
-                    victim_predictor,
-                    start + total,
-                );
+                self.dram.write(ev.block.base_address(), victim_predictor, start + total);
             }
         }
         L2Path {
@@ -705,7 +687,7 @@ impl MemoryHierarchy {
                 let victim_predictor = self.in_pv_region(ev.block);
                 self.stats.l2_writebacks.record(victim_predictor);
                 self.stats.dram_writes += 1;
-                self.dram.write_classified(
+                self.dram.write(
                     ev.block.base_address(),
                     victim_predictor,
                     start + self.config.l2.data_latency,
@@ -727,7 +709,7 @@ impl MemoryHierarchy {
     /// core does not wait for it; the returned `ready_at` is when the data
     /// becomes usable. `evictions` is cleared and receives the displaced
     /// block, if any (caller-owned scratch, exactly as in
-    /// [`Self::access_with_evictions`]).
+    /// [`Self::access_data`]).
     pub fn prefetch_into_l1d(
         &mut self,
         core: usize,
@@ -1121,11 +1103,10 @@ mod tests {
         let mut evictions = EvictionBuffer::default();
         for i in 0..=ways {
             let block = BlockAddr::new(3 + i * l1_sets);
-            let _ = h.access_with_evictions(
-                Requester::data(0),
+            let _ = h.access_data(
+                0,
                 block.base_address().raw(),
                 AccessKind::Read,
-                DataClass::Application,
                 i * 1000,
                 &mut evictions,
             );
@@ -1140,8 +1121,7 @@ mod tests {
     fn access_data_fast_path_matches_general_access() {
         let mut a = hierarchy();
         let mut b = hierarchy();
-        let mut ev_a = EvictionBuffer::default();
-        let mut ev_b = EvictionBuffer::default();
+        let mut evictions = EvictionBuffer::default();
         let l1_sets = a.config().l1d.sets() as u64;
         for i in 0..64u64 {
             // A mix of fresh misses, re-hits and set-conflict evictions.
@@ -1151,21 +1131,15 @@ mod tests {
             } else {
                 AccessKind::Read
             };
-            let ra = a.access_with_evictions(
+            let ra = a.access(
                 Requester::data(0),
                 block.base_address().raw(),
                 kind,
                 DataClass::Application,
                 i * 100,
-                &mut ev_a,
             );
-            let rb = b.access_data(0, block.base_address().raw(), kind, i * 100, &mut ev_b);
+            let rb = b.access_data(0, block.base_address().raw(), kind, i * 100, &mut evictions);
             assert_eq!(ra, rb, "response diverged at access {i}");
-            assert_eq!(
-                ev_a.as_slice(),
-                ev_b.as_slice(),
-                "evictions diverged at access {i}"
-            );
         }
         assert_eq!(a.stats(), b.stats());
     }

@@ -106,18 +106,12 @@ impl MainMemory {
         self.pv_regions.contains(addr)
     }
 
-    /// Performs a block read issued at cycle `now`.
-    pub fn read(&mut self, addr: Address, now: u64) -> DramResponse {
-        let predictor = self.is_predictor_address(addr);
-        self.read_classified(addr, predictor, now)
-    }
-
-    /// Performs a block read whose PV-region classification the caller has
-    /// already computed (`predictor` must equal
-    /// [`Self::is_predictor_address`] for `addr`). The hierarchy resolves
+    /// Performs a block read issued at cycle `now`. The caller passes the
+    /// PV-region classification (`predictor` must equal
+    /// [`Self::is_predictor_address`] for `addr`): the hierarchy resolves
     /// the region once per request and threads the result through the
     /// miss/writeback/eviction chain instead of re-deriving it here.
-    pub fn read_classified(&mut self, addr: Address, predictor: bool, now: u64) -> DramResponse {
+    pub fn read(&mut self, addr: Address, predictor: bool, now: u64) -> DramResponse {
         debug_assert_eq!(predictor, self.is_predictor_address(addr));
         self.reads.record(predictor);
         self.service(addr, now, predictor, true)
@@ -128,15 +122,9 @@ impl MainMemory {
     /// banks, queue slots and data-bus cycles like reads do, so write-back
     /// bursts slow concurrent reads down. Because nobody waits on them,
     /// their computed wait is *not* added to the reported queueing-delay
-    /// statistics — only to the shared timing state.
-    pub fn write(&mut self, addr: Address, now: u64) -> DramResponse {
-        let predictor = self.is_predictor_address(addr);
-        self.write_classified(addr, predictor, now)
-    }
-
-    /// Performs a block write with a caller-computed PV-region
-    /// classification; see [`Self::read_classified`].
-    pub fn write_classified(&mut self, addr: Address, predictor: bool, now: u64) -> DramResponse {
+    /// statistics — only to the shared timing state. `predictor` is the
+    /// caller-computed PV-region classification, as for [`Self::read`].
+    pub fn write(&mut self, addr: Address, predictor: bool, now: u64) -> DramResponse {
         debug_assert_eq!(predictor, self.is_predictor_address(addr));
         self.writes.record(predictor);
         self.service(addr, now, predictor, false)
@@ -259,11 +247,21 @@ mod tests {
         )
     }
 
+    /// A read classified the way the hierarchy classifies it.
+    fn read(mem: &mut MainMemory, addr: Address, now: u64) -> DramResponse {
+        mem.read(addr, mem.is_predictor_address(addr), now)
+    }
+
+    /// A write classified the way the hierarchy classifies it.
+    fn write(mem: &mut MainMemory, addr: Address, now: u64) -> DramResponse {
+        mem.write(addr, mem.is_predictor_address(addr), now)
+    }
+
     #[test]
     fn ideal_read_and_write_cost_configured_latency() {
         let mut mem = memory();
-        assert_eq!(mem.read(Address::new(0x1000), 0).latency, 400);
-        assert_eq!(mem.write(Address::new(0x2000), 50).latency, 400);
+        assert_eq!(read(&mut mem, Address::new(0x1000), 0).latency, 400);
+        assert_eq!(write(&mut mem, Address::new(0x2000), 50).latency, 400);
         assert_eq!(mem.queue_delay().total_cycles(), 0);
     }
 
@@ -271,9 +269,9 @@ mod tests {
     fn traffic_is_classified_by_region() {
         let mut mem = memory();
         let pv_base = mem.pv_regions().core_base(0);
-        mem.read(Address::new(0x1000), 0);
-        mem.read(pv_base, 0);
-        mem.write(pv_base, 0);
+        read(&mut mem, Address::new(0x1000), 0);
+        read(&mut mem, pv_base, 0);
+        write(&mut mem, pv_base, 0);
         assert_eq!(mem.reads().application, 1);
         assert_eq!(mem.reads().predictor, 1);
         assert_eq!(mem.writes().predictor, 1);
@@ -283,7 +281,7 @@ mod tests {
     #[test]
     fn reset_clears_counters() {
         let mut mem = memory();
-        mem.read(Address::new(0), 0);
+        read(&mut mem, Address::new(0), 0);
         mem.reset_stats();
         assert_eq!(mem.reads().total(), 0);
         assert_eq!(mem.writes().total(), 0);
@@ -293,7 +291,7 @@ mod tests {
     #[test]
     fn queued_single_access_pays_unloaded_latency() {
         let mut mem = queued(DramConfig::paper());
-        let response = mem.read(Address::new(0x4000), 100);
+        let response = read(&mut mem, Address::new(0x4000), 100);
         assert_eq!(response.latency, 400);
         assert_eq!(response.queue_delay, 0);
     }
@@ -305,7 +303,7 @@ mod tests {
         // serialize transfers, so later requests observe growing latency.
         let mut last = 0;
         for i in 0..64u64 {
-            let response = mem.read(Address::new(i * 64), 0);
+            let response = read(&mut mem, Address::new(i * 64), 0);
             last = last.max(response.latency);
         }
         assert!(
@@ -327,9 +325,9 @@ mod tests {
         let mut mem = queued(config);
         // Two requests fill the queue; the third must wait for a slot, which
         // frees when the first request completes.
-        let first = mem.read(Address::new(0), 0);
-        mem.read(Address::new(64), 0);
-        let third = mem.read(Address::new(128), 0);
+        let first = read(&mut mem, Address::new(0), 0);
+        read(&mut mem, Address::new(64), 0);
+        let third = read(&mut mem, Address::new(128), 0);
         assert!(
             third.queue_delay >= first.latency,
             "third request must wait at least until the first drains \
@@ -345,7 +343,7 @@ mod tests {
             let mut mem = queued(DramConfig::paper().with_cycles_per_transfer(cycles_per_transfer));
             for i in 0..256u64 {
                 // A steady stream faster than the bus can drain.
-                mem.read(Address::new(i * 64), i * 2);
+                read(&mut mem, Address::new(i * 64), i * 2);
             }
             mem.queue_delay().total_cycles()
         };
@@ -362,7 +360,7 @@ mod tests {
     fn queued_writes_consume_bandwidth() {
         let mut mem = queued(DramConfig::paper());
         let before = mem.busy_cycles();
-        mem.write(Address::new(0x9000), 0);
+        write(&mut mem, Address::new(0x9000), 0);
         assert_eq!(
             mem.busy_cycles() - before,
             DramConfig::paper().cycles_per_transfer

@@ -19,17 +19,6 @@ pub struct PrefetchAction {
     pub issue_at: u64,
 }
 
-/// Everything the engine decided in response to one event.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineResponse {
-    /// Prefetches to issue.
-    pub prefetches: Vec<PrefetchAction>,
-    /// Whether this access triggered a new spatial generation.
-    pub triggered: bool,
-    /// Whether the trigger's PHT lookup hit.
-    pub pht_hit: bool,
-}
-
 /// The allocation-free verdict of one access: what
 /// [`SmsPrefetcher::on_data_access_into`] decided, with the prefetches
 /// themselves appended to the caller-owned buffer instead of an owned `Vec`.
@@ -98,30 +87,10 @@ impl SmsPrefetcher {
         self.storage.reset_stats();
     }
 
-    /// Observes one L1 data access (hit or miss) by the core.
-    ///
-    /// Returns the prefetches to issue, if the access triggered a generation
-    /// whose pattern is known.
-    pub fn on_data_access(
-        &mut self,
-        pc: u64,
-        address: u64,
-        mem: &mut MemoryHierarchy,
-        shared: Option<&mut SharedPvProxy>,
-        now: u64,
-    ) -> EngineResponse {
-        let mut prefetches = Vec::new();
-        let decision = self.on_data_access_into(pc, address, mem, shared, now, &mut prefetches);
-        EngineResponse {
-            prefetches,
-            triggered: decision.triggered,
-            pht_hit: decision.pht_hit,
-        }
-    }
-
-    /// Observes one L1 data access like [`Self::on_data_access`], appending
-    /// any prefetches to the caller-owned `out` buffer — the simulator's
-    /// per-record hot path, which must not heap-allocate.
+    /// Observes one L1 data access (hit or miss) by the core, appending the
+    /// prefetches to issue — if the access triggered a generation whose
+    /// pattern is known — to the caller-owned `out` buffer, so the
+    /// simulator's per-record hot path never heap-allocates.
     pub fn on_data_access_into(
         &mut self,
         pc: u64,
@@ -283,31 +252,45 @@ mod tests {
         RegionAddr::new(region).block_at(offset, 32).base_address().raw()
     }
 
+    /// One access through the engine, returning its decision and the
+    /// prefetches it appended to a fresh buffer.
+    fn observe(
+        engine: &mut SmsPrefetcher,
+        mem: &mut MemoryHierarchy,
+        pc: u64,
+        address: u64,
+        now: u64,
+    ) -> (AccessDecision, Vec<PrefetchAction>) {
+        let mut prefetches = Vec::new();
+        let decision = engine.on_data_access_into(pc, address, mem, None, now, &mut prefetches);
+        (decision, prefetches)
+    }
+
     /// Runs one full generation (accesses + eviction) and returns the engine
     /// response of the *next* trigger for the same PC.
     fn train_and_retrigger(
         engine: &mut SmsPrefetcher,
         mem: &mut MemoryHierarchy,
         pc: u64,
-    ) -> EngineResponse {
+    ) -> (AccessDecision, Vec<PrefetchAction>) {
         // Generation over region 10: blocks 2, 5, 7.
-        engine.on_data_access(pc, addr(10, 2), mem, None, 0);
-        engine.on_data_access(pc + 8, addr(10, 5), mem, None, 10);
-        engine.on_data_access(pc + 16, addr(10, 7), mem, None, 20);
+        observe(engine, mem, pc, addr(10, 2), 0);
+        observe(engine, mem, pc + 8, addr(10, 5), 10);
+        observe(engine, mem, pc + 16, addr(10, 7), 20);
         // Evicting block 5 ends the generation and stores the pattern.
         engine.on_l1_evictions(&[RegionAddr::new(10).block_at(5, 32)], mem, None, 30);
         // The same trigger PC and offset on a different region now predicts.
-        engine.on_data_access(pc, addr(20, 2), mem, None, 100)
+        observe(engine, mem, pc, addr(20, 2), 100)
     }
 
     #[test]
     fn cold_trigger_produces_no_prefetches() {
         let mut engine = engine(SmsConfig::paper_1k_11a());
         let mut mem = mem();
-        let response = engine.on_data_access(0x400, addr(1, 3), &mut mem, None, 0);
-        assert!(response.triggered);
-        assert!(!response.pht_hit);
-        assert!(response.prefetches.is_empty());
+        let (decision, prefetches) = observe(&mut engine, &mut mem, 0x400, addr(1, 3), 0);
+        assert!(decision.triggered);
+        assert!(!decision.pht_hit);
+        assert!(prefetches.is_empty());
         assert_eq!(engine.stats().pht_misses, 1);
     }
 
@@ -315,11 +298,11 @@ mod tests {
     fn learned_pattern_predicts_future_generations() {
         let mut engine = engine(SmsConfig::paper_1k_11a());
         let mut mem = mem();
-        let response = train_and_retrigger(&mut engine, &mut mem, 0x400);
-        assert!(response.triggered);
-        assert!(response.pht_hit, "the stored pattern must be found");
+        let (decision, prefetches) = train_and_retrigger(&mut engine, &mut mem, 0x400);
+        assert!(decision.triggered);
+        assert!(decision.pht_hit, "the stored pattern must be found");
         // The pattern was {2, 5, 7}; the trigger block (offset 2) is excluded.
-        let blocks: Vec<BlockAddr> = response.prefetches.iter().map(|p| p.block).collect();
+        let blocks: Vec<BlockAddr> = prefetches.iter().map(|p| p.block).collect();
         assert_eq!(
             blocks,
             vec![
@@ -335,8 +318,8 @@ mod tests {
     fn prefetches_target_the_new_region_not_the_trained_one() {
         let mut engine = engine(SmsConfig::paper_1k_11a());
         let mut mem = mem();
-        let response = train_and_retrigger(&mut engine, &mut mem, 0x400);
-        for p in &response.prefetches {
+        let (_, prefetches) = train_and_retrigger(&mut engine, &mut mem, 0x400);
+        for p in &prefetches {
             assert_eq!(p.block.region(32), RegionAddr::new(20));
         }
     }
@@ -345,9 +328,9 @@ mod tests {
     fn prefetch_issue_time_respects_lookup_latency() {
         let mut engine = engine(SmsConfig::paper_1k_11a());
         let mut mem = mem();
-        let response = train_and_retrigger(&mut engine, &mut mem, 0x400);
+        let (_, prefetches) = train_and_retrigger(&mut engine, &mut mem, 0x400);
         let latency = engine.config().dedicated_lookup_latency;
-        for p in &response.prefetches {
+        for p in &prefetches {
             assert_eq!(p.issue_at, 100 + latency);
         }
     }
@@ -357,9 +340,9 @@ mod tests {
         let mut engine = engine(SmsConfig::paper_1k_11a());
         let mut mem = mem();
         train_and_retrigger(&mut engine, &mut mem, 0x400);
-        let response = engine.on_data_access(0x9000, addr(30, 2), &mut mem, None, 200);
-        assert!(response.triggered);
-        assert!(!response.pht_hit);
+        let (decision, _) = observe(&mut engine, &mut mem, 0x9000, addr(30, 2), 200);
+        assert!(decision.triggered);
+        assert!(!decision.pht_hit);
     }
 
     #[test]
@@ -370,8 +353,8 @@ mod tests {
         for i in 0..2000u64 {
             let pc = 0x1000 + i * 4;
             let region = 100 + i;
-            engine.on_data_access(pc, addr(region, 1), &mut mem, None, i * 10);
-            engine.on_data_access(pc + 4, addr(region, 3), &mut mem, None, i * 10 + 1);
+            observe(&mut engine, &mut mem, pc, addr(region, 1), i * 10);
+            observe(&mut engine, &mut mem, pc + 4, addr(region, 3), i * 10 + 1);
             engine.on_l1_evictions(
                 &[RegionAddr::new(region).block_at(1, 32)],
                 &mut mem,
@@ -380,9 +363,9 @@ mod tests {
             );
         }
         // Re-trigger the earliest PC: it must have been evicted.
-        let response = engine.on_data_access(0x1000, addr(5000, 1), &mut mem, None, 1_000_000);
+        let (decision, _) = observe(&mut engine, &mut mem, 0x1000, addr(5000, 1), 1_000_000);
         assert!(
-            !response.pht_hit,
+            !decision.pht_hit,
             "an 88-entry PHT cannot retain 2000 patterns"
         );
     }
@@ -394,8 +377,8 @@ mod tests {
         for i in 0..2000u64 {
             let pc = 0x1000 + i * 4;
             let region = 100 + i;
-            engine.on_data_access(pc, addr(region, 1), &mut mem, None, i * 10);
-            engine.on_data_access(pc + 4, addr(region, 3), &mut mem, None, i * 10 + 1);
+            observe(&mut engine, &mut mem, pc, addr(region, 1), i * 10);
+            observe(&mut engine, &mut mem, pc + 4, addr(region, 3), i * 10 + 1);
             engine.on_l1_evictions(
                 &[RegionAddr::new(region).block_at(1, 32)],
                 &mut mem,
@@ -403,21 +386,21 @@ mod tests {
                 i * 10 + 2,
             );
         }
-        let response = engine.on_data_access(0x1000, addr(5000, 1), &mut mem, None, 1_000_000);
-        assert!(response.pht_hit, "the infinite PHT never forgets");
+        let (decision, _) = observe(&mut engine, &mut mem, 0x1000, addr(5000, 1), 1_000_000);
+        assert!(decision.pht_hit, "the infinite PHT never forgets");
     }
 
     #[test]
     fn flush_persists_in_flight_generations() {
         let mut engine = engine(SmsConfig::paper_1k_11a());
         let mut mem = mem();
-        engine.on_data_access(0x400, addr(1, 0), &mut mem, None, 0);
-        engine.on_data_access(0x404, addr(1, 4), &mut mem, None, 1);
+        observe(&mut engine, &mut mem, 0x400, addr(1, 0), 0);
+        observe(&mut engine, &mut mem, 0x404, addr(1, 4), 1);
         engine.flush(&mut mem, None, 10);
         assert_eq!(engine.stats().patterns_stored, 1);
         // The flushed pattern is usable by a later trigger.
-        let response = engine.on_data_access(0x400, addr(9, 0), &mut mem, None, 100);
-        assert!(response.pht_hit);
+        let (decision, _) = observe(&mut engine, &mut mem, 0x400, addr(9, 0), 100);
+        assert!(decision.pht_hit);
     }
 
     #[test]
@@ -427,7 +410,7 @@ mod tests {
         train_and_retrigger(&mut engine, &mut mem, 0x400);
         engine.reset_stats();
         assert_eq!(engine.stats().pht_hits, 0);
-        let response = engine.on_data_access(0x400, addr(40, 2), &mut mem, None, 500);
-        assert!(response.pht_hit, "resetting stats must not clear the PHT");
+        let (decision, _) = observe(&mut engine, &mut mem, 0x400, addr(40, 2), 500);
+        assert!(decision.pht_hit, "resetting stats must not clear the PHT");
     }
 }

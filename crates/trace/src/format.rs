@@ -147,11 +147,16 @@ impl TraceLayout {
     }
 
     /// Encoded size in bytes of a trace holding `records` records
-    /// (header plus full and partial blocks).
+    /// (header plus full and partial blocks), saturating at `usize::MAX`:
+    /// a corrupted record count then implies a size no buffer has, and
+    /// header validation reports the trace as truncated.
     pub fn encoded_bytes(&self, records: u64) -> usize {
         let per_block = self.records_per_block() as u64;
-        let blocks = records.div_ceil(per_block);
-        HEADER_BYTES + blocks as usize * BLOCK_BYTES
+        usize::try_from(records.div_ceil(per_block))
+            .ok()
+            .and_then(|blocks| blocks.checked_mul(BLOCK_BYTES))
+            .and_then(|body| body.checked_add(HEADER_BYTES))
+            .unwrap_or(usize::MAX)
     }
 
     /// Packs `record` into `block` at slot `slot`.

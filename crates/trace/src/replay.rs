@@ -5,8 +5,9 @@
 //! bytes with `pv_core::packing::read_bits` (the same 128-bit window the
 //! encoder used). The header is validated up front — bad magic, unknown
 //! versions, malformed layouts, and truncated bodies are all rejected
-//! before the first record is produced — so the hot path contains no
-//! error handling at all.
+//! before the first record is produced. The body is not scanned at
+//! construction: a record that fails to decode (an invalid op code) ends
+//! the stream there, and [`ReplayStream::error`] reports why.
 
 use crate::format::{decode_at, TraceError, TraceHeader};
 use pv_workloads::{AccessStream, TraceRecord};
@@ -16,13 +17,16 @@ use pv_workloads::{AccessStream, TraceRecord};
 /// Implements both [`AccessStream`] (for feeding the simulator) and
 /// [`Iterator`] (for tests and tools). The stream is finite: after
 /// `records()` items it returns `None` forever, which the simulator turns
-/// into a clean end-of-run for the owning core.
+/// into a clean end-of-run for the owning core. A corrupt record ends the
+/// stream early, just as cleanly, and leaves its [`TraceError`] behind
+/// [`Self::error`].
 #[derive(Debug)]
 pub struct ReplayStream {
     data: Vec<u8>,
     header: TraceHeader,
     next: u64,
     label: String,
+    error: Option<TraceError>,
 }
 
 impl ReplayStream {
@@ -45,6 +49,7 @@ impl ReplayStream {
             header,
             next: 0,
             label,
+            error: None,
         })
     }
 
@@ -58,9 +63,16 @@ impl ReplayStream {
         self.header.records
     }
 
-    /// Records not yet produced.
+    /// Records not yet produced (zero once a corrupt record ended the
+    /// stream).
     pub fn remaining(&self) -> u64 {
         self.header.records - self.next
+    }
+
+    /// Why the stream ended before its header's record count, if it did:
+    /// the decode error of the first record that could not be replayed.
+    pub fn error(&self) -> Option<&TraceError> {
+        self.error.as_ref()
     }
 }
 
@@ -69,10 +81,18 @@ impl AccessStream for ReplayStream {
         if self.next >= self.header.records {
             return None;
         }
-        let record = decode_at(&self.data, &self.header.layout, self.next)
-            .expect("body was validated against the header at construction");
-        self.next += 1;
-        Some(record)
+        match decode_at(&self.data, &self.header.layout, self.next) {
+            Ok(record) => {
+                self.next += 1;
+                Some(record)
+            }
+            Err(error) => {
+                // Sticky: no record past a corrupt one is ever produced.
+                self.next = self.header.records;
+                self.error = Some(error);
+                None
+            }
+        }
     }
 
     fn label(&self) -> &str {
@@ -96,7 +116,10 @@ impl Iterator for ReplayStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{encode_records, Provenance, VERSION};
+    use crate::format::{
+        encode_records, Provenance, TraceLayout, BLOCK_BYTES, HEADER_BYTES, VERSION,
+    };
+    use pv_core::packing::write_bits;
     use pv_workloads::{workloads, TraceGenerator};
 
     #[test]
@@ -152,6 +175,34 @@ mod tests {
             ReplayStream::new(truncated).unwrap_err(),
             TraceError::Truncated { .. }
         ));
+        // A record count whose encoded size overflows `usize` must not wrap
+        // around to a size the buffer passes.
+        let mut overflowing = bytes.clone();
+        overflowing[12..20].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        assert!(matches!(
+            ReplayStream::new(overflowing).unwrap_err(),
+            TraceError::Truncated { .. }
+        ));
+    }
+
+    #[test]
+    fn corrupt_op_code_ends_the_stream_with_an_error() {
+        let records: Vec<_> = TraceGenerator::new(&workloads::apache(), 3, 0).take(12).collect();
+        let mut bytes = encode_records(&records, Provenance::default());
+        // Rewrite record 6's two op bits to the unused code 3.
+        let layout = TraceLayout::DEFAULT;
+        let (bad, per_block) = (6, layout.records_per_block());
+        let block = HEADER_BYTES + (bad / per_block) * BLOCK_BYTES;
+        let op_offset = (bad % per_block) * layout.record_bits() as usize
+            + (layout.pc_bits + layout.addr_bits) as usize;
+        write_bits(&mut bytes[block..block + BLOCK_BYTES], op_offset, 0b11, 2);
+
+        let mut replay = ReplayStream::new(bytes).expect("the header is intact");
+        let replayed: Vec<_> = replay.by_ref().collect();
+        assert_eq!(replayed, records[..bad]);
+        assert_eq!(replay.error(), Some(&TraceError::BadOp(3)));
+        assert_eq!(replay.remaining(), 0);
+        assert!(replay.next_record().is_none(), "the early end is sticky");
     }
 
     #[test]

@@ -308,10 +308,11 @@ fn queued_dram_service_matches_the_reference_inflight_queue() {
                 } else {
                     Address::new(rng.gen_range(0u64..1 << 30))
                 };
+                let predictor = mem.is_predictor_address(addr);
                 let response = if rng.gen_bool(0.8) {
-                    mem.read(addr, now)
+                    mem.read(addr, predictor, now)
                 } else {
-                    mem.write(addr, now)
+                    mem.write(addr, predictor, now)
                 };
                 let (latency, queue_delay) = reference.service(addr, now);
                 assert_eq!(
